@@ -1,6 +1,7 @@
 #include "src/trace/trace_io.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -43,20 +44,26 @@ size_t ParseRow(const char* line, std::vector<double>& out) {
   return out.size();
 }
 
+// Reads whole lines of any length (getline grows the buffer), so a long row
+// is never split into two.
 bool ForEachRow(FILE* f, size_t expected_fields,
                 const std::function<void(const std::vector<double>&)>& fn) {
-  char line[512];
+  struct LineBuffer {
+    char* data = nullptr;
+    size_t capacity = 0;
+    ~LineBuffer() { std::free(data); }
+  } line;
   std::vector<double> fields;
   bool first = true;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
+  while (getline(&line.data, &line.capacity, f) != -1) {
     if (first) {
       first = false;  // Skip the header row.
       continue;
     }
-    if (line[0] == '\n' || line[0] == '\0') {
+    if (line.data[0] == '\n' || line.data[0] == '\0') {
       continue;
     }
-    if (ParseRow(line, fields) != expected_fields) {
+    if (ParseRow(line.data, fields) != expected_fields) {
       return false;
     }
     fn(fields);

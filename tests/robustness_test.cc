@@ -72,6 +72,29 @@ TEST_F(TraceIoRobustnessTest, MissingFileRejected) {
   EXPECT_FALSE(ReadTraceBundle(dir_, &loaded));
 }
 
+TEST_F(TraceIoRobustnessTest, RowLongerThanOldLineBufferLoadsAsOneRow) {
+  // A valid pods.csv row padded with leading zeros well past 512 bytes. A
+  // fixed-size line buffer would split it into two rows (or cut a number
+  // at the boundary); it must load as one row with the right values.
+  const std::string pad(700, '0');
+  const std::string row = pad + "7," + pad + "3,0,0.25,0.125,0.5,0.25," + pad + "42,0";
+  ASSERT_GT(row.size(), 2000u);
+  Corrupt("pods.csv", row);
+  TraceBundle loaded;
+  ASSERT_TRUE(ReadTraceBundle(dir_, &loaded));
+  ASSERT_EQ(loaded.pods.size(), 2u);
+  const PodMeta& pod = loaded.pods[1];
+  EXPECT_EQ(pod.pod_id, 7);
+  EXPECT_EQ(pod.app_id, 3);
+  EXPECT_EQ(pod.slo, static_cast<SloClass>(0));
+  EXPECT_DOUBLE_EQ(pod.request.cpu, 0.25);
+  EXPECT_DOUBLE_EQ(pod.request.mem, 0.125);
+  EXPECT_DOUBLE_EQ(pod.limit.cpu, 0.5);
+  EXPECT_DOUBLE_EQ(pod.limit.mem, 0.25);
+  EXPECT_EQ(pod.submit_tick, 42);
+  EXPECT_EQ(pod.original_machine_id, 0);
+}
+
 TEST_F(TraceIoRobustnessTest, BlankLinesTolerated) {
   Corrupt("pods.csv", "");
   TraceBundle loaded;

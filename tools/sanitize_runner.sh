@@ -17,7 +17,8 @@ CONCURRENCY_TARGETS=(concurrency_test cache_property_test sample_hosts_test
                      perf_equivalence_test sim_property_test obs_test
                      span_timeseries_test compiled_forest_test
                      forest_quantized_test serve_test serve_pipeline_test
-                     latency_percentile_test pressure_slo_test profiler_test)
+                     latency_percentile_test pressure_slo_test profiler_test
+                     core_system_test tracing_coordinator_test)
 
 # Guard: every test registered in tests/CMakeLists.txt with a concurrency or
 # observability label must be in CONCURRENCY_TARGETS, or the sanitizer pass
