@@ -23,7 +23,6 @@
 // Emits BENCH_hotpath.json (path = argv[1], default ./BENCH_hotpath.json).
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -67,7 +66,6 @@ struct ScoringRow {
 double MeasureScoring(const core::OptumProfiles& profiles,
                       const std::vector<const AppProfile*>& catalog, int num_hosts,
                       int prefill_per_host, int warmup, int stream, bool cached,
-                      size_t num_threads = 0,
                       obs::MetricRegistry* registry = nullptr,
                       obs::DecisionLog* decision_log = nullptr,
                       obs::SpanLog* span_log = nullptr,
@@ -89,7 +87,6 @@ double MeasureScoring(const core::OptumProfiles& profiles,
 
   core::OptumConfig config;
   config.use_incremental_cache = cached;
-  config.num_threads = num_threads;
   core::OptumScheduler scheduler(profiles, config);
   obs::Sinks sinks;
   sinks.metrics = registry;
@@ -163,8 +160,7 @@ double MeasureScoring(const core::OptumProfiles& profiles,
             in.interference = scheduler.interference_predictor()
                                   .ResidentInterference(
                                       host, in.cpu_util, in.mem_util,
-                                      /*weight_ls=*/1.0, /*weight_be=*/0.0,
-                                      /*lane=*/0) /
+                                      /*weight_ls=*/1.0, /*weight_be=*/0.0) /
                               static_cast<double>(ls_pods);
           }
           pressure->ObserveHost(host.id, in);
@@ -288,7 +284,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_metrics_on = std::max(
           row.pods_per_sec_metrics_on,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, /*pressure=*/nullptr,
                          /*profiler=*/nullptr, &row.cache_stats));
@@ -299,7 +295,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_decision_log = std::max(
           row.pods_per_sec_decision_log,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry, &log));
+                         /*cached=*/true, &registry, &log));
     }
     {
       // Span log + streaming series on top of the registry: the lifecycle
@@ -314,7 +310,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_spans = std::max(
           row.pods_per_sec_spans,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, &span_log, &series));
       span_log.Flush();
       series.Flush();
@@ -326,7 +322,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       // configuration (`serve_bench --pressure --hotspot-log`, DESIGN.md
       // §13). Every sampled tick sweeps all hosts through the EWMA tracker,
       // the hysteresis detector, and the sharded SLO accumulators, with the
-      // resident-interference term from the lane-0 predictor cache.
+      // resident-interference term from the scheduler's predictor cache.
       obs::MetricRegistry registry;
       obs::HotspotLog hotspot_log("/dev/null");
       obs::HostPressureMonitor monitor(static_cast<size_t>(num_hosts),
@@ -338,7 +334,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_pressure = std::max(
           row.pods_per_sec_pressure,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, &monitor));
       monitor.Finalize();
@@ -360,7 +356,7 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
       row.pods_per_sec_profile = std::max(
           row.pods_per_sec_profile,
           MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost, warmup, stream,
-                         /*cached=*/true, /*num_threads=*/0, &registry,
+                         /*cached=*/true, &registry,
                          /*decision_log=*/nullptr, /*span_log=*/nullptr,
                          /*series=*/nullptr, /*pressure=*/nullptr, &profiler));
       profiler.Finalize();
@@ -389,73 +385,10 @@ ObsRow RunObsBench(const core::OptumProfiles& profiles,
   return row;
 }
 
-struct ThreadsRow {
-  int hosts = 0;
-  int pods = 0;
-  size_t threads = 0;       // OptumConfig::num_threads (0 = serial path)
-  double pods_per_sec = 0.0;
-  double speedup = 0.0;     // vs the threads=0 row of the same cluster size
-};
-
-// Thread-count sweep over the same steady-state loop: placements are
-// bit-identical for every thread count (lane-sharded key-pure caches), so
-// the rows differ only in wall clock.
-std::vector<ThreadsRow> RunThreadsSweep(const core::OptumProfiles& profiles,
-                                        const std::vector<const AppProfile*>& catalog,
-                                        int num_hosts, int stream) {
-  constexpr int kPrefillPerHost = 16;
-  const int warmup = stream;
-  std::vector<ThreadsRow> rows;
-  for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-    std::printf("scoring %d hosts with num_threads=%zu...\n", num_hosts, threads);
-    ThreadsRow row;
-    row.hosts = num_hosts;
-    row.pods = stream;
-    row.threads = threads;
-    row.pods_per_sec = MeasureScoring(profiles, catalog, num_hosts, kPrefillPerHost,
-                                      warmup, stream, /*cached=*/true, threads);
-    row.speedup = rows.empty() ? 1.0 : row.pods_per_sec / rows.front().pods_per_sec;
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-bool WriteThreadsJson(const std::string& path, const std::vector<ThreadsRow>& rows,
-                      unsigned hw_threads) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"hotpath_threads\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw_threads);
-  if (hw_threads <= 1) {
-    std::fprintf(f,
-                 "  \"note\": \"single-core machine: worker threads time-slice one "
-                 "core, so speedup ~= 1/(1+overhead); re-run on a multi-core box "
-                 "for the parallel scaling number\",\n");
-  }
-  std::fprintf(f, "  \"scoring_threads\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ThreadsRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"hosts\": %d, \"pods\": %d, \"threads\": %zu, "
-                 "\"pods_per_sec\": %.1f, \"speedup_vs_serial\": %.2f}%s\n",
-                 r.hosts, r.pods, r.threads, r.pods_per_sec, r.speedup,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-  return true;
-}
-
 struct ForestBatchRow {
   size_t batch = 0;
-  double ns_row_compiled = 0.0;   // exact (double) engine
+  double ns_row_compiled = 0.0;
   double speedup = 0.0;           // vs the pointer-tree ns/row of the same forest
-  double ns_row_quantized = 0.0;  // float32-threshold engine
-  double speedup_quantized = 0.0;
 };
 
 struct ForestBench {
@@ -464,17 +397,14 @@ struct ForestBench {
   size_t features = 0;
   size_t rows = 0;
   double ns_row_pointer = 0.0;
-  double quantized_max_abs_err = 0.0;  // vs exact, across all rows
   std::vector<ForestBatchRow> batches;
 };
 
 // Forest inference microbench: one RF trained on contention-style features
 // (utilizations in [0, 1], interference-shaped target), then ns/row of
-// row-at-a-time pointer descent vs the compiled engine — exact and
-// quantized layouts — at several batch sizes. The pointer number is
-// batch-independent, so it is measured once. The exact engine must match
-// the pointer checksum bit-for-bit; the quantized engine reports its max
-// abs deviation instead.
+// row-at-a-time pointer descent vs the compiled engine at several batch
+// sizes. The pointer number is batch-independent, so it is measured once.
+// The compiled engine must match the pointer checksum bit-for-bit.
 ForestBench RunForestBench() {
   constexpr size_t kFeatures = 5;  // Eq. 9 width (LS feature vector)
   constexpr size_t kTrain = 2500;
@@ -495,8 +425,6 @@ ForestBench RunForestBench() {
   ml::RandomForestRegressor forest(ml::ForestParams{}, 7);
   forest.Fit(data);
   const ml::CompiledForest& compiled = forest.compiled();
-  const ml::CompiledForest quantized =
-      ml::CompiledForest::Compile(forest, {.quantized_thresholds = true});
 
   ForestBench bench;
   bench.trees = compiled.num_trees();
@@ -510,7 +438,7 @@ ForestBench RunForestBench() {
   }
 
   // checksum defeats dead-code elimination and doubles as an equivalence
-  // probe: the exact engine must accumulate the same value as pointer
+  // probe: the compiled engine must accumulate the same value as pointer
   // descent bit-for-bit.
   double pointer_checksum = 0.0;
   const auto time_ns_per_row = [&](const auto& body) {
@@ -535,15 +463,11 @@ ForestBench RunForestBench() {
     pointer_checksum = sum;
   });
 
-  // Exact reference outputs for the quantized deviation probe.
-  std::vector<double> exact_out(kRows);
-  compiled.PredictBatch(rows, kFeatures, exact_out);
-
   std::vector<double> out(kRows);
-  const auto run_batched = [&](const ml::CompiledForest& engine, size_t batch) {
+  const auto run_batched = [&](size_t batch) {
     for (size_t begin = 0; begin < kRows; begin += batch) {
       const size_t n = std::min(batch, kRows - begin);
-      engine.PredictBatch(
+      compiled.PredictBatch(
           std::span<const double>(rows.data() + begin * kFeatures, n * kFeatures),
           kFeatures, std::span<double>(out.data() + begin, n));
     }
@@ -551,7 +475,7 @@ ForestBench RunForestBench() {
   for (const size_t batch : {size_t{1}, size_t{8}, size_t{64}, size_t{256}}) {
     ForestBatchRow row;
     row.batch = batch;
-    row.ns_row_compiled = time_ns_per_row([&] { run_batched(compiled, batch); });
+    row.ns_row_compiled = time_ns_per_row([&] { run_batched(batch); });
     double compiled_checksum = 0.0;
     for (const double v : out) {
       compiled_checksum += v;
@@ -564,14 +488,6 @@ ForestBench RunForestBench() {
     row.speedup = row.ns_row_compiled > 0.0
                       ? bench.ns_row_pointer / row.ns_row_compiled
                       : 0.0;
-    row.ns_row_quantized = time_ns_per_row([&] { run_batched(quantized, batch); });
-    for (size_t i = 0; i < kRows; ++i) {
-      bench.quantized_max_abs_err =
-          std::max(bench.quantized_max_abs_err, std::fabs(out[i] - exact_out[i]));
-    }
-    row.speedup_quantized = row.ns_row_quantized > 0.0
-                                ? bench.ns_row_pointer / row.ns_row_quantized
-                                : 0.0;
     bench.batches.push_back(row);
   }
   return bench;
@@ -736,7 +652,7 @@ bool WriteJson(const std::string& path, const std::vector<ScoringRow>& scoring,
                  "     \"profile\": {\"pods_per_sec\": %.1f, \"overhead_pct\": %.2f, "
                  "\"incremental_vs_metrics_on_pct\": %.2f, "
                  "\"windows\": %lld},\n"
-                 "     \"pred_cache_hit_rate\": %.4f, \"raw_cache_hit_rate\": %.4f, "
+                 "     \"pred_cache_hit_rate\": %.4f, "
                  "\"slope_cache_hit_rate\": %.4f, \"forest_evals\": %llu, "
                  "\"pred_cache_hits\": %llu, \"pred_cache_misses\": %llu, "
                  "\"slope_cache_misses\": %llu}%s\n",
@@ -754,7 +670,7 @@ bool WriteJson(const std::string& path, const std::vector<ScoringRow>& scoring,
                  r.pods_per_sec_profile, r.profile_overhead_pct,
                  r.profile_incremental_pct,
                  static_cast<long long>(r.profile_windows),
-                 rate(s.predict_hits, s.predict_misses), rate(s.raw_hits, s.raw_misses),
+                 rate(s.predict_hits, s.predict_misses),
                  rate(s.slope_hits, s.slope_misses),
                  static_cast<unsigned long long>(s.forest_evals()),
                  static_cast<unsigned long long>(s.predict_hits),
@@ -803,18 +719,16 @@ bool WriteJson(const std::string& path, const std::vector<ScoringRow>& scoring,
   std::fprintf(f,
                "    \"trees\": %zu, \"nodes\": %zu, \"features\": %zu, "
                "\"rows\": %zu,\n    \"ns_row_pointer\": %.1f,\n"
-               "    \"quantized_max_abs_err\": %.3g,\n"
                "    \"batches\": [\n",
                forest.trees, forest.nodes, forest.features, forest.rows,
-               forest.ns_row_pointer, forest.quantized_max_abs_err);
+               forest.ns_row_pointer);
   for (size_t i = 0; i < forest.batches.size(); ++i) {
     const ForestBatchRow& r = forest.batches[i];
     std::fprintf(f,
                  "      {\"batch\": %zu, \"ns_row_compiled\": %.1f, "
-                 "\"speedup\": %.2f, \"ns_row_quantized\": %.1f, "
-                 "\"speedup_quantized\": %.2f}%s\n",
-                 r.batch, r.ns_row_compiled, r.speedup, r.ns_row_quantized,
-                 r.speedup_quantized, i + 1 < forest.batches.size() ? "," : "");
+                 "\"speedup\": %.2f}%s\n",
+                 r.batch, r.ns_row_compiled, r.speedup,
+                 i + 1 < forest.batches.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }\n}\n");
   std::fclose(f);
@@ -828,7 +742,6 @@ int Main(int argc, char** argv) {
   bool run_tick = true;
   bool forest_only = false;
   bool serve_only = false;
-  bool threads_sweep = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scoring-only") {
@@ -852,10 +765,11 @@ int Main(int argc, char** argv) {
       serve_only = true;
       run_scoring = false;
       run_tick = false;
-    } else if (arg == "--threads-sweep") {
-      // Scoring-throughput sweep over OptumConfig::num_threads {0,2,4};
-      // replaces the default sections and writes the threads JSON schema.
-      threads_sweep = true;
+    } else if (arg.rfind("--", 0) == 0) {
+      // An unknown flag (such as the removed --threads-sweep) must not be
+      // taken for the output path.
+      std::fprintf(stderr, "bench_hotpath: unknown flag %s\n", arg.c_str());
+      return 2;
     } else {
       out_path = arg;
     }
@@ -877,7 +791,7 @@ int Main(int argc, char** argv) {
   core::OptumProfiles profiles;
   std::vector<const AppProfile*> catalog;
   Workload reference;
-  if (run_scoring || run_tick || threads_sweep || serve_only) {
+  if (run_scoring || run_tick || serve_only) {
     std::printf("training profiles from the 64-host reference run...\n");
     reference = WorkloadGenerator(bench::DefaultWorkloadConfig()).Generate();
     AlibabaBaseline reference_policy = bench::MakeReferenceScheduler();
@@ -885,21 +799,6 @@ int Main(int argc, char** argv) {
     const SimResult reference_result = reference_sim.Run();
     profiles = bench::BuildProfiles(reference_result.trace);
     catalog = SchedulableApps(reference);
-  }
-
-  if (threads_sweep) {
-    if (out_path == "BENCH_hotpath.json") {
-      out_path = "BENCH_hotpath_threads.json";
-    }
-    const std::vector<ThreadsRow> rows =
-        RunThreadsSweep(profiles, catalog, /*num_hosts=*/1000, /*stream=*/4000);
-    TablePrinter table({"hosts", "threads", "pods/s", "speedup"});
-    for (const ThreadsRow& r : rows) {
-      table.AddRow({std::to_string(r.hosts), std::to_string(r.threads),
-                    FormatDouble(r.pods_per_sec, 1), FormatDouble(r.speedup, 2)});
-    }
-    table.Print();
-    return WriteThreadsJson(out_path, rows, hw_threads) ? 0 : 1;
   }
 
   std::vector<ScoringRow> scoring;
@@ -926,7 +825,7 @@ int Main(int argc, char** argv) {
   ForestBench forest;
   if (!serve_only) {
     std::printf(
-        "forest inference (pointer vs compiled exact/quantized, batch sweep)...\n");
+        "forest inference (pointer vs compiled, batch sweep)...\n");
     forest = RunForestBench();
   }
 
@@ -979,19 +878,14 @@ int Main(int argc, char** argv) {
   if (forest.trees > 0) {
     // Forest inference: ns/row, so "base" is pointer descent and lower is
     // better — kept in its own table to avoid mixing units with the above.
-    TablePrinter forest_table({"batch", "ptr ns/row", "exact ns/row", "speedup",
-                               "quant ns/row", "speedup"});
+    TablePrinter forest_table({"batch", "ptr ns/row", "compiled ns/row", "speedup"});
     for (const ForestBatchRow& r : forest.batches) {
       forest_table.AddRow({std::to_string(r.batch),
                            FormatDouble(forest.ns_row_pointer, 1),
                            FormatDouble(r.ns_row_compiled, 1),
-                           FormatDouble(r.speedup, 2),
-                           FormatDouble(r.ns_row_quantized, 1),
-                           FormatDouble(r.speedup_quantized, 2)});
+                           FormatDouble(r.speedup, 2)});
     }
     forest_table.Print();
-    std::printf("quantized max abs err vs exact: %.3g\n",
-                forest.quantized_max_abs_err);
   }
 
   return WriteJson(out_path, scoring, ticks, obs, serve, forest, hw_threads) ? 0 : 1;

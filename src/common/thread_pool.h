@@ -1,6 +1,8 @@
-// Fixed-size worker pool used by Optum's node selector ("all components of
-// the Online Scheduler work in a multi-threaded mode", paper §4.3.4) and by
-// random-forest training.
+// Fixed-size worker pool. DistributedCoordinator runs its shard schedulers
+// side by side on one (paper §4.4), and the simulator runs its per-host tick
+// phases on another. Candidate scoring inside one scheduler is serial:
+// per-pod work is tens of microseconds, less than a fork-join here costs
+// (DESIGN.md §8).
 #ifndef OPTUM_SRC_COMMON_THREAD_POOL_H_
 #define OPTUM_SRC_COMMON_THREAD_POOL_H_
 
@@ -24,10 +26,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  // Maximum number of tasks a ParallelFor/ParallelForLane can run
-  // concurrently: every worker plus the calling thread.
-  size_t num_lanes() const { return workers_.size() + 1; }
-
   // Enqueues a task for asynchronous execution.
   void Submit(std::function<void()> task);
 
@@ -37,16 +35,6 @@ class ThreadPool {
   // Runs fn(i) for i in [0, n), partitioned across the pool, and waits for
   // completion. Safe to call with n == 0. The calling thread participates.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  // As ParallelFor, but passes each invocation the identity of the task
-  // shard executing it: fn(lane, i) with lane in [0, num_lanes()). Each lane
-  // value is held by exactly one shard task at a time, so lane-indexed state
-  // (e.g. per-lane cache shards) is never touched by two threads at once —
-  // regardless of which worker the queue hands a shard to. Work is still
-  // claimed dynamically, so which indices a lane processes is timing-
-  // dependent; callers needing determinism must make per-index results
-  // independent of lane assignment.
-  void ParallelForLane(size_t n, const std::function<void(size_t, size_t)>& fn);
 
  private:
   void WorkerLoop();

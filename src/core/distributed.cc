@@ -24,9 +24,6 @@ DistributedCoordinator::DistributedCoordinator(const OptumProfiles& profiles,
     // conflicts stay possible (hot hosts score high for everyone) but the
     // shards do not trivially collide on every decision.
     shard_config.seed = config.scheduler_config.seed + 0x9e3779b9u * (i + 1);
-    // Shards themselves run concurrently here; candidate scoring within a
-    // shard parallelizes only when the caller asks for it explicitly.
-    shard_config.num_threads = config.shard_num_threads;
     shards_.push_back(std::make_unique<OptumScheduler>(profiles, shard_config));
   }
 }

@@ -10,6 +10,8 @@
 // K independent OptumScheduler instances, runs their decisions in parallel
 // against a shared read-only cluster snapshot, resolves conflicts, and
 // loops re-dispatched pods until the batch is placed or stably rejected.
+// This is the only layer of scheduling parallelism: each shard is one pool
+// task per round and scores its candidates serially on it (DESIGN.md §8).
 #ifndef OPTUM_SRC_CORE_DISTRIBUTED_H_
 #define OPTUM_SRC_CORE_DISTRIBUTED_H_
 
@@ -30,12 +32,6 @@ struct DistributedConfig {
   // Placement attempts per pod (rejections and lost conflicts both count)
   // before the pod is returned as unplaced.
   size_t max_attempts_per_pod = 4;
-  // Scoring threads *inside* each shard (0 = serial). Shards always run
-  // concurrently with each other on the coordinator pool; this additionally
-  // parallelizes candidate scoring within a shard's decision. Scoring is
-  // bit-identical across thread counts (OptumConfig::num_threads contract),
-  // so this only changes wall-clock, never placements.
-  size_t shard_num_threads = 0;
   // Conflict-round pipelining (DESIGN.md §12): with depth D > 1, each shard
   // keeps up to D-1 future head pods speculatively sampled and scored
   // against an epoch-snapshotted host view, and each round merely
@@ -100,7 +96,7 @@ class DistributedCoordinator {
   //     serial phase times resolve/commit into lane 0, measures the barrier
   //     wall, and closes the round via EndRound. Both scopes run on every
   //     active shard-round regardless of pipeline_depth, so scope counts
-  //     stay bit-identical across the depth × thread matrix.
+  //     stay bit-identical across the depth × ingest matrix.
   // Other fields are ignored; shard-level span/decision logs are
   // deliberately NOT forwarded (shards decide on parallel pool tasks —
   // interleaved emission would be nondeterministic). Attach those via

@@ -59,31 +59,13 @@ size_t FillFeatures(const AppModel& model, double host_cpu_util, double host_mem
   return kBeFeatureCount;
 }
 
-// Coarse utilization grid of the slope cache; matches the discretized
-// Predict cache's default (64 buckets over [0, 2]). The slope is flat
-// between tree splits, so a finer grid only multiplies cold misses, and
-// each miss costs two forest evaluations.
-constexpr size_t kSlopeBuckets = 64;
-
 }  // namespace
 
 InterferencePredictor::InterferencePredictor(const OptumProfiles* profiles,
-                                             size_t cache_buckets,
                                              bool use_host_app_counts)
-    : profiles_(profiles),
-      cache_buckets_(cache_buckets),
-      use_host_app_counts_(use_host_app_counts),
-      lanes_(1) {
+    : profiles_(profiles), use_host_app_counts_(use_host_app_counts) {
   OPTUM_CHECK(profiles != nullptr);
-  OPTUM_CHECK_GT(cache_buckets, 0u);
   RebuildAppIndex();
-}
-
-void InterferencePredictor::set_num_lanes(size_t n) {
-  OPTUM_CHECK_GE(n, 1u);
-  if (n > lanes_.size()) {
-    lanes_.resize(n);
-  }
 }
 
 void InterferencePredictor::RebuildAppIndex() {
@@ -102,25 +84,9 @@ void InterferencePredictor::RebuildAppIndex() {
   resident_grid_valid_.assign(cells, 0);
 }
 
-InterferencePredictor::CacheStats InterferencePredictor::cache_stats() const {
-  CacheStats stats;
-  for (const LaneCaches& lane : lanes_) {
-    stats.predict_hits += lane.predict_hits;
-    stats.predict_misses += lane.predict_misses;
-    stats.raw_hits += lane.raw_hits;
-    stats.raw_misses += lane.raw_misses;
-    stats.slope_hits += lane.slope_hits;
-    stats.slope_misses += lane.slope_misses;
-  }
-  return stats;
-}
-
 void InterferencePredictor::ClearCache() {
-  for (LaneCaches& lane : lanes_) {
-    lane.cache.Clear();
-    lane.raw_cache.Clear();
-    lane.slope_cache.Clear();
-  }
+  cache_.Clear();
+  slope_cache_.Clear();
   resident_memo_.clear();  // stored sums embed predictions from the old models
   RebuildAppIndex();
 }
@@ -149,130 +115,52 @@ double InterferencePredictor::PredictImpl(const AppModel& model, double host_cpu
   return out;
 }
 
-void InterferencePredictor::PredictRawSpan(AppId app, double cpu_lo, double cpu_hi,
-                                           double mem_util, size_t lane,
+void InterferencePredictor::PredictRawSpan(const AppModel& model, double cpu_lo,
+                                           double cpu_hi, double mem_util,
                                            double* out_lo, double* out_hi) const {
-  const AppModel* model = FindModel(app);
-  if (model == nullptr || !model->usable()) {
-    *out_lo = 0.0;
-    *out_hi = 0.0;
-    return;
-  }
-  // Fine grid (8x the coarse one), exactly as PredictRaw uses it.
-  const size_t buckets = cache_buckets_ * 8;
-  const uint64_t mem_bucket = UtilBucket(mem_util, buckets);
-  const double mem_point = BucketPoint(mem_bucket, buckets);
-  const uint64_t app_key = static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32;
-
-  struct Endpoint {
-    uint64_t key;
-    uint64_t cpu_bucket;
-    double* out;
-  };
-  // hi before lo, matching the order the sequential PredictRaw calls used.
-  const Endpoint endpoints[2] = {
-      {app_key | (UtilBucket(cpu_hi, buckets) << 16) | mem_bucket,
-       UtilBucket(cpu_hi, buckets), out_hi},
-      {app_key | (UtilBucket(cpu_lo, buckets) << 16) | mem_bucket,
-       UtilBucket(cpu_lo, buckets), out_lo},
-  };
-
-  LaneCaches& caches = lanes_[lane];
+  // Both rows come from one model, so the first fill's feature width is the
+  // packing stride. Each endpoint is snapped to its fine-grid bucket's
+  // canonical point, so the pair is a pure function of the three buckets.
+  const double mem_point = BucketPoint(UtilBucket(mem_util, kFineBuckets), kFineBuckets);
   double rows[2 * kLsFeatureCount];
-  double batch_out[2];
-  const Endpoint* missed[2];
-  size_t misses = 0;
-  bool alias = false;
-  for (const Endpoint& e : endpoints) {
-    if (const auto cached = caches.raw_cache.Find(e.key)) {
-      ++caches.raw_hits;
-      *e.out = *cached;
-      continue;
-    }
-    if (misses > 0 && e.key == missed[0]->key) {
-      // Both endpoints snapped to one fine-grid bucket (possible only if the
-      // slope span ever drops below the grid width). Sequential evaluation
-      // would hit the freshly inserted value here; mirror that.
-      ++caches.raw_hits;
-      alias = true;
-      continue;
-    }
-    ++caches.raw_misses;
-    missed[misses] = &e;
-    ++misses;
-  }
-  if (misses > 0) {
-    // One batched descent for both cold endpoints. Both rows come from one
-    // model, so the first fill's feature width is the packing stride.
-    const size_t width = FillFeatures(
-        *model, BucketPoint(missed[0]->cpu_bucket, buckets), mem_point, rows);
-    if (misses == 2) {
-      FillFeatures(*model, BucketPoint(missed[1]->cpu_bucket, buckets), mem_point,
-                   rows + width);
-    }
-    model->model->PredictBatch(std::span<const double>(rows, misses * width), width,
-                               std::span<double>(batch_out, misses));
-    for (size_t i = 0; i < misses; ++i) {
-      caches.raw_cache.Insert(missed[i]->key, batch_out[i]);
-      *missed[i]->out = batch_out[i];
-    }
-  }
-  if (alias) {
-    *endpoints[1].out = *endpoints[0].out;
-  }
-}
-
-double InterferencePredictor::PredictRaw(AppId app, double host_cpu_util,
-                                         double host_mem_util, size_t lane) const {
-  const AppModel* model = FindModel(app);
-  if (model == nullptr || !model->usable()) {
-    return 0.0;
-  }
-  // Fine grid (8x the coarse one) so slope estimation sees real variation.
-  const size_t buckets = cache_buckets_ * 8;
-  const uint64_t cpu_bucket = UtilBucket(host_cpu_util, buckets);
-  const uint64_t mem_bucket = UtilBucket(host_mem_util, buckets);
-  const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) |
-                       (cpu_bucket << 16) | mem_bucket;
-  LaneCaches& caches = lanes_[lane];
-  if (const auto cached = caches.raw_cache.Find(key)) {
-    ++caches.raw_hits;
-    return *cached;
-  }
-  ++caches.raw_misses;
-  const double prediction = PredictImpl(*model, BucketPoint(cpu_bucket, buckets),
-                                        BucketPoint(mem_bucket, buckets));
-  caches.raw_cache.Insert(key, prediction);
-  return prediction;
+  const size_t width = FillFeatures(
+      model, BucketPoint(UtilBucket(cpu_hi, kFineBuckets), kFineBuckets), mem_point,
+      rows);
+  FillFeatures(model, BucketPoint(UtilBucket(cpu_lo, kFineBuckets), kFineBuckets),
+               mem_point, rows + width);
+  double out[2];
+  model.model->PredictBatch(std::span<const double>(rows, 2 * width), width,
+                            std::span<double>(out, 2));
+  *out_hi = out[0];
+  *out_lo = out[1];
 }
 
 double InterferencePredictor::Predict(AppId app, double host_cpu_util,
-                                      double host_mem_util, size_t lane) const {
+                                      double host_mem_util) const {
   const AppModel* model = FindModel(app);
   if (model == nullptr || !model->usable()) {
     return 0.0;
   }
-  const uint64_t cpu_bucket = UtilBucket(host_cpu_util, cache_buckets_);
-  const uint64_t mem_bucket = UtilBucket(host_mem_util, cache_buckets_);
+  const uint64_t cpu_bucket = UtilBucket(host_cpu_util, kCacheBuckets);
+  const uint64_t mem_bucket = UtilBucket(host_mem_util, kCacheBuckets);
   const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) |
                        (cpu_bucket << 16) | mem_bucket;
-  LaneCaches& caches = lanes_[lane];
-  if (const auto cached = caches.cache.Find(key)) {
-    ++caches.predict_hits;
+  if (const auto cached = cache_.Find(key)) {
+    ++stats_.predict_hits;
     return *cached;
   }
-  ++caches.predict_misses;
+  ++stats_.predict_misses;
   const double prediction = model->discretizer.ToUpperBound(
-      PredictImpl(*model, BucketPoint(cpu_bucket, cache_buckets_),
-                  BucketPoint(mem_bucket, cache_buckets_)));
-  caches.cache.Insert(key, prediction);
+      PredictImpl(*model, BucketPoint(cpu_bucket, kCacheBuckets),
+                  BucketPoint(mem_bucket, kCacheBuckets)));
+  cache_.Insert(key, prediction);
   return prediction;
 }
 
 double InterferencePredictor::TotalInterference(const Host& host, const PodSpec& incoming,
                                                 double host_cpu_util, double host_mem_util,
-                                                double weight_ls, double weight_be,
-                                                size_t lane) const {
+                                                double weight_ls,
+                                                double weight_be) const {
   if (!use_host_app_counts_) {
     // Baseline path: rebuild the histogram from the pod list per call.
     std::vector<RebuiltAppCount> counts = RebuildCounts(host);
@@ -289,7 +177,7 @@ double InterferencePredictor::TotalInterference(const Host& host, const PodSpec&
     }
     double total = 0.0;
     for (const auto& c : counts) {
-      const double ri = Predict(c.app, host_cpu_util, host_mem_util, lane);
+      const double ri = Predict(c.app, host_cpu_util, host_mem_util);
       if (ri == 0.0) {
         continue;
       }
@@ -308,14 +196,14 @@ double InterferencePredictor::TotalInterference(const Host& host, const PodSpec&
       ++count;
       incoming_merged = true;
     }
-    const double ri = Predict(c.app, host_cpu_util, host_mem_util, lane);
+    const double ri = Predict(c.app, host_cpu_util, host_mem_util);
     if (ri == 0.0) {
       continue;
     }
     total += WeightOf(c.slo, weight_ls, weight_be) * ri * static_cast<double>(count);
   }
   if (!incoming_merged) {
-    const double ri = Predict(incoming.app, host_cpu_util, host_mem_util, lane);
+    const double ri = Predict(incoming.app, host_cpu_util, host_mem_util);
     if (ri != 0.0) {
       total += WeightOf(incoming.slo, weight_ls, weight_be) * ri;
     }
@@ -327,8 +215,7 @@ double InterferencePredictor::ResidentInterference(const Host& host,
                                                    double host_cpu_util,
                                                    double host_mem_util,
                                                    double weight_ls,
-                                                   double weight_be,
-                                                   size_t lane) const {
+                                                   double weight_be) const {
   // The resident sum feeds a per-host pressure signal that rides an EWMA,
   // so it needs far less utilization resolution than candidate scoring.
   // Inputs are snapped to a deliberately coarse grid (cell centers over
@@ -342,7 +229,7 @@ double InterferencePredictor::ResidentInterference(const Host& host,
   const double cpu_q = BucketPoint(cpu_bucket, kResidentBuckets);
   const double mem_q = BucketPoint(mem_bucket, kResidentBuckets);
   // Per-(app, cell) value via the flat grid; cold cells go through Predict
-  // once, so every stored value matches the lane-cache path bit for bit.
+  // once, so every stored value matches the Predict-cache path bit for bit.
   const auto resident_ri = [&](AppId app) {
     if (app < 0 || static_cast<size_t>(app) >= by_app_.size()) {
       return 0.0;  // no profile -> Predict would return 0 anyway
@@ -354,7 +241,7 @@ double InterferencePredictor::ResidentInterference(const Host& host,
     if (resident_grid_valid_[cell]) {
       return resident_grid_[cell];
     }
-    const double ri = Predict(app, cpu_q, mem_q, lane);
+    const double ri = Predict(app, cpu_q, mem_q);
     resident_grid_[cell] = ri;
     resident_grid_valid_[cell] = 1;
     return ri;
@@ -406,7 +293,7 @@ double InterferencePredictor::ResidentInterference(const Host& host,
 double InterferencePredictor::MarginalInterference(
     const Host& host, const PodSpec& incoming, double cpu_util_before,
     double mem_util_before, double cpu_util_after, double mem_util_after,
-    double weight_ls, double weight_be, size_t lane) const {
+    double weight_ls, double weight_be) const {
   // Wide-span finite difference: a single pod's utilization delta is far
   // below tree granularity, so the slope is sampled over +-kSlopeSpan and
   // rescaled to the actual delta.
@@ -424,12 +311,11 @@ double InterferencePredictor::MarginalInterference(
   // before sampling, so the cached slope — like every other cached value —
   // is a pure function of its key.
   const double cpu_mid = 0.5 * (cpu_util_before + cpu_util_after);
-  const uint64_t mid_bucket = UtilBucket(cpu_mid, kSlopeBuckets);
-  const uint64_t mem_bucket = UtilBucket(mem_util_after, kSlopeBuckets);
+  const uint64_t mid_bucket = UtilBucket(cpu_mid, kCacheBuckets);
+  const uint64_t mem_bucket = UtilBucket(mem_util_after, kCacheBuckets);
   const uint64_t util_key = (mid_bucket << 8) | mem_bucket;
-  const double mid_point = BucketPoint(mid_bucket, kSlopeBuckets);
-  const double mem_point = BucketPoint(mem_bucket, kSlopeBuckets);
-  PredictionCache& slope_cache = lanes_[lane].slope_cache;
+  const double mid_point = BucketPoint(mid_bucket, kCacheBuckets);
+  const double mem_point = BucketPoint(mem_bucket, kCacheBuckets);
 
   const auto slope_term = [&](AppId app, SloClass slo, int count) {
     const double weight = WeightOf(slo, weight_ls, weight_be);
@@ -439,24 +325,26 @@ double InterferencePredictor::MarginalInterference(
     const uint64_t key =
         (static_cast<uint64_t>(static_cast<uint32_t>(app)) << 32) | util_key;
     double slope;
-    if (const auto cached = slope_cache.Find(key)) {
-      ++lanes_[lane].slope_hits;
+    if (const auto cached = slope_cache_.Find(key)) {
+      ++stats_.slope_hits;
       slope = *cached;
     } else {
-      ++lanes_[lane].slope_misses;
+      ++stats_.slope_misses;
       // The slope-miss path is where forest evaluations concentrate after
-      // the caches warm up; time it when a sink is attached. Both endpoints
-      // go through one PredictRawSpan call, whose single PredictBatch hands
-      // the compiled forest (exact or quantized, per the model's
-      // ForestParams) both rows at once.
-      obs::ScopedTimer timer(forest_timer_, forest_timer_lane_base_ + lane);
-      const double lo_cpu = std::max(0.0, mid_point - kSlopeSpan);
-      const double hi_cpu = mid_point + kSlopeSpan;
-      double lo, hi;
-      PredictRawSpan(app, lo_cpu, hi_cpu, mem_point, lane, &lo, &hi);
-      const double span = hi_cpu - lo_cpu;
-      slope = span > 1e-9 ? std::max(0.0, (hi - lo) / span) : 0.0;
-      slope_cache.Insert(key, slope);
+      // the caches warm up; time it when a sink is attached. One
+      // PredictRawSpan call hands the compiled forest both rows at once.
+      obs::ScopedTimer timer(forest_timer_, forest_timer_lane_);
+      slope = 0.0;
+      const AppModel* model = FindModel(app);
+      if (model != nullptr && model->usable()) {
+        const double lo_cpu = std::max(0.0, mid_point - kSlopeSpan);
+        const double hi_cpu = mid_point + kSlopeSpan;
+        double lo, hi;
+        PredictRawSpan(*model, lo_cpu, hi_cpu, mem_point, &lo, &hi);
+        const double span = hi_cpu - lo_cpu;
+        slope = span > 1e-9 ? std::max(0.0, (hi - lo) / span) : 0.0;
+      }
+      slope_cache_.Insert(key, slope);
     }
     return weight * slope * cpu_delta * static_cast<double>(count);
   };
@@ -480,7 +368,7 @@ double InterferencePredictor::MarginalInterference(
   }
   // The incoming pod's own interference is its absolute prediction (§4.3.3).
   total += WeightOf(incoming.slo, weight_ls, weight_be) *
-           Predict(incoming.app, cpu_util_after, mem_util_after, lane);
+           Predict(incoming.app, cpu_util_after, mem_util_after);
   return total;
 }
 

@@ -8,10 +8,11 @@
 // Every cached value is a pure function of its cache key: the model is
 // evaluated at the bucket's canonical point, not at the raw utilization
 // that happened to trigger the miss. That makes predictions independent of
-// cache history (warm vs cold, cleared vs not) and lets parallel candidate
-// scoring keep one private cache shard per thread-pool lane while staying
-// bit-identical to serial scoring — whichever lane computes a value, it
-// computes the same one.
+// cache history (warm vs cold, cleared vs not), which the scheduler's
+// evaluation memo and speculative scoring rely on.
+//
+// Not internally synchronized: one predictor serves one scheduler, and a
+// scheduler scores its candidates serially (DESIGN.md §8).
 #ifndef OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 #define OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 
@@ -28,8 +29,7 @@ namespace optum::core {
 
 class InterferencePredictor {
  public:
-  // `profiles` must outlive the predictor. cache_buckets controls the
-  // utilization-space granularity of the prediction cache.
+  // `profiles` must outlive the predictor.
   //
   // use_host_app_counts selects how the per-host application histogram is
   // obtained: true reads Host::app_counts (maintained incrementally by
@@ -37,22 +37,13 @@ class InterferencePredictor {
   // pre-incremental behaviour, kept as the benchmark baseline and for
   // equivalence testing against the incremental structures.
   explicit InterferencePredictor(const OptumProfiles* profiles,
-                                 size_t cache_buckets = 64,
                                  bool use_host_app_counts = true);
-
-  // Creates `n` (>= 1) private cache shards. A `lane` argument below indexes
-  // them; concurrent calls are safe iff they use distinct lanes. Existing
-  // shards keep their contents; results never depend on lane assignment
-  // because cached values are pure functions of their keys.
-  void set_num_lanes(size_t n);
-  size_t num_lanes() const { return lanes_.size(); }
 
   // RI for one pod of application `app` on a host whose predicted CPU/mem
   // utilizations (POC/Cap, POM/Cap) are given. Returns 0 when the app has
   // no usable model (no interference information, paper §5.2 optimizes only
   // apps with accurate profiles).
-  double Predict(AppId app, double host_cpu_util, double host_mem_util,
-                 size_t lane = 0) const;
+  double Predict(AppId app, double host_cpu_util, double host_mem_util) const;
 
   // Sum of RI over all pods currently on `host` plus the incoming pod, at
   // the given post-placement utilization (paper Eq. 11, literal form).
@@ -60,8 +51,7 @@ class InterferencePredictor {
   // features are identical), so cost is O(#distinct apps).
   double TotalInterference(const Host& host, const PodSpec& incoming,
                            double host_cpu_util, double host_mem_util,
-                           double weight_ls, double weight_be,
-                           size_t lane = 0) const;
+                           double weight_ls, double weight_be) const;
 
   // Sum of RI over the pods already resident on `host` — no incoming pod —
   // at the host's *current* utilization, snapped to a coarse 8-bucket grid
@@ -69,12 +59,11 @@ class InterferencePredictor {
   // nothing but cache misses). The pressure sensor (DESIGN.md §13) feeds
   // this into the per-host pressure signal; a per-host memo keyed on
   // (change_epoch, coarse buckets, weights) makes repeated sweeps O(1) per
-  // unchanged host, and every computed value comes from the key-pure lane
-  // cache, so results are independent of cache history and thread count.
-  // Serial callers only (see ResidentMemo below).
+  // unchanged host, and every computed value comes from the key-pure
+  // Predict cache, so results are independent of cache history.
   double ResidentInterference(const Host& host, double host_cpu_util,
                               double host_mem_util, double weight_ls,
-                              double weight_be, size_t lane = 0) const;
+                              double weight_be) const;
 
   // Marginal form: the increase in interference the incoming pod causes to
   // the pods already on the host (RI at post-placement utilization minus RI
@@ -90,74 +79,47 @@ class InterferencePredictor {
   double MarginalInterference(const Host& host, const PodSpec& incoming,
                               double cpu_util_before, double mem_util_before,
                               double cpu_util_after, double mem_util_after,
-                              double weight_ls, double weight_be,
-                              size_t lane = 0) const;
+                              double weight_ls, double weight_be) const;
 
-  // Raw model output (no output discretization), cached on a fine
-  // utilization grid; used for slope estimation.
-  double PredictRaw(AppId app, double host_cpu_util, double host_mem_util,
-                    size_t lane = 0) const;
-
-  // Both endpoints of a finite-difference slope in one call: raw model
-  // output at (cpu_lo, mem) and (cpu_hi, mem). Cache-missing endpoints are
-  // gathered into one feature block and evaluated with a single
-  // PredictBatch, so the forest amortizes tree descent across the pair.
-  // Bit-identical to two PredictRaw calls (hi first, then lo).
-  void PredictRawSpan(AppId app, double cpu_lo, double cpu_hi, double mem_util,
-                      size_t lane, double* out_lo, double* out_hi) const;
-
-  // Drops all cached predictions (every lane) and re-syncs the AppId-indexed
-  // model table; call after the profiles object is replaced wholesale.
+  // Drops all cached predictions and re-syncs the AppId-indexed model
+  // table; call after the profiles object is replaced wholesale.
   void ClearCache();
-  size_t cache_size() const { return lanes_[0].cache.size(); }
+  size_t cache_size() const { return cache_.size(); }
 
-  // Hit/miss tallies of the three caches, maintained unconditionally (each
-  // is one lane-private non-atomic increment on an already-hot line, well
-  // inside the observability overhead budget). Merged across lanes; read
-  // only while no lane is scoring.
+  // Hit/miss tallies of the two caches, maintained unconditionally (one
+  // non-atomic increment on an already-hot line each). They survive
+  // ClearCache() — they count work over the predictor's lifetime, not
+  // cache contents.
   struct CacheStats {
     uint64_t predict_hits = 0, predict_misses = 0;
-    uint64_t raw_hits = 0, raw_misses = 0;
     uint64_t slope_hits = 0, slope_misses = 0;
-    // Forest evaluations (DecisionTreeRegressor descents) actually run —
-    // every cache miss costs exactly one.
-    uint64_t forest_evals() const { return predict_misses + raw_misses; }
-    uint64_t hits() const { return predict_hits + raw_hits + slope_hits; }
-    uint64_t misses() const { return predict_misses + raw_misses + slope_misses; }
+    // Forest rows evaluated: one per Predict miss, two (both slope
+    // endpoints) per slope miss.
+    uint64_t forest_evals() const { return predict_misses + 2 * slope_misses; }
+    uint64_t misses() const { return predict_misses + slope_misses; }
   };
-  CacheStats cache_stats() const;
-  // Total misses charged to one lane; the scheduler uses before/after
-  // deltas to tag decision-log candidates with their cache-miss cost.
-  uint64_t lane_misses(size_t lane) const {
-    const LaneCaches& l = lanes_[lane];
-    return l.predict_misses + l.raw_misses + l.slope_misses;
-  }
+  const CacheStats& cache_stats() const { return stats_; }
+  // Predict + slope misses so far; the scheduler uses before/after deltas
+  // to tag decision-log candidates with their cache-miss cost.
+  uint64_t misses() const { return stats_.misses(); }
 
   // Attaches the forest-evaluation timer: slope-cache misses (two raw-model
-  // evaluations each) record their latency into `sink` at shard
-  // `lane_base + lane`. The sink must have at least lane_base + num_lanes()
-  // shards; nullptr (the default) disables timing entirely.
-  void set_forest_timer(obs::Histogram* sink, size_t lane_base = 0) {
+  // evaluations each) record their latency into `sink` at registry lane
+  // `lane`; nullptr (the default) disables timing entirely.
+  void set_forest_timer(obs::Histogram* sink, size_t lane = 0) {
     forest_timer_ = sink;
-    forest_timer_lane_base_ = lane_base;
+    forest_timer_lane_ = lane;
   }
 
  private:
-  // One lane's private shard of the three caches. Cache-line aligned so two
-  // lanes' hot metadata (size/mask) never share a line across workers.
-  struct alignas(64) LaneCaches {
-    PredictionCache cache;        // discretized Predict values
-    PredictionCache raw_cache;    // undiscretized PredictRaw values
-    // Finite-difference slopes for MarginalInterference, keyed on (app,
-    // coarse before/after utilization buckets); shared by both histogram
-    // paths so the incremental and rebuild modes stay numerically identical.
-    PredictionCache slope_cache;
-    // Lane-private hit/miss tallies (see CacheStats). Survive Clear() —
-    // they count work over the predictor's lifetime, not cache contents.
-    uint64_t predict_hits = 0, predict_misses = 0;
-    uint64_t raw_hits = 0, raw_misses = 0;
-    uint64_t slope_hits = 0, slope_misses = 0;
-  };
+  // Side of the Predict and slope caches' utilization grids: kCacheBuckets
+  // buckets over [0, 2] per axis. The slope is flat between tree splits, so
+  // a finer slope grid would only multiply cold misses, and each miss costs
+  // two forest evaluations.
+  static constexpr size_t kCacheBuckets = 64;
+  // Fine grid (8x the coarse one) the slope endpoints are evaluated on, so
+  // the finite difference sees real variation.
+  static constexpr size_t kFineBuckets = 8 * kCacheBuckets;
 
   // Bucket index of a utilization value on a `buckets`-wide grid over [0, 2]
   // (the packing the cache keys use).
@@ -169,6 +131,11 @@ class InterferencePredictor {
 
   double PredictImpl(const AppModel& model, double host_cpu_util,
                      double host_mem_util) const;
+  // Both endpoints of a finite-difference slope: raw model output (no
+  // output discretization) at the fine-grid points of (cpu_lo, mem) and
+  // (cpu_hi, mem), evaluated with one two-row PredictBatch.
+  void PredictRawSpan(const AppModel& model, double cpu_lo, double cpu_hi,
+                      double mem_util, double* out_lo, double* out_hi) const;
   // Flat-index lookup; AppIds are dense, so this replaces a hash find on
   // the scoring hot path. Null when the app has no profile.
   const AppModel* FindModel(AppId app) const {
@@ -183,11 +150,9 @@ class InterferencePredictor {
   // histogram — versioned by Host::change_epoch — and the coarse
   // utilization buckets Predict quantizes its inputs to, so a sweep only
   // pays the per-app cache walk for hosts that changed since the last one.
-  // Lane is deliberately absent from the key: cached Predict values are
-  // key-pure, so every lane returns the same number. Callers are the serial
-  // pressure paths (simulator tick, placement-service round, bench mirror);
-  // concurrent ResidentInterference calls are NOT safe, matching the
-  // serial-emission contract of the monitor this feeds.
+  // Callers are the serial pressure paths (simulator tick, placement-service
+  // round, bench mirror), matching the serial-emission contract of the
+  // monitor this feeds.
   struct ResidentMemo {
     uint64_t epoch = std::numeric_limits<uint64_t>::max();  // never a real epoch
     uint64_t cpu_bucket = 0;
@@ -202,28 +167,32 @@ class InterferencePredictor {
   static constexpr size_t kResidentBuckets = 8;
 
   const OptumProfiles* profiles_;
-  size_t cache_buckets_;
   bool use_host_app_counts_;
   // Pointers into profiles_->apps values; valid until the map is mutated
   // (profile replacement calls ClearCache, which rebuilds the index).
-  // Read-only during scoring, so safely shared across lanes.
   std::vector<const AppModel*> by_app_;
-  mutable std::vector<LaneCaches> lanes_;
+  // Discretized Predict values, keyed on (app, cpu bucket, mem bucket).
+  mutable PredictionCache cache_;
+  // Finite-difference slopes for MarginalInterference, keyed on (app,
+  // coarse CPU-midpoint and memory buckets); shared by both histogram paths
+  // so the incremental and rebuild modes stay numerically identical.
+  mutable PredictionCache slope_cache_;
+  mutable CacheStats stats_;
   // Indexed by host id, grown on demand; dropped by ClearCache() with the
-  // lane caches (model replacement invalidates every stored sum).
+  // caches (model replacement invalidates every stored sum).
   mutable std::vector<ResidentMemo> resident_memo_;
   // Flat per-app cache over the coarse resident grid: cell
   // [app * 64 + cpu_bucket * 8 + mem_bucket] holds exactly what
   // Predict(app, cell center) returns (filled through Predict on first
-  // touch, so values stay bit-identical to the lane-cache path). Turns the
-  // per-app walk for a changed host into direct loads instead of hash
+  // touch, so values stay bit-identical to the Predict-cache path). Turns
+  // the per-app walk for a changed host into direct loads instead of hash
   // probes. Serial pressure callers only; sized by RebuildAppIndex, cleared
-  // with the lane caches.
+  // with the caches.
   mutable std::vector<double> resident_grid_;
   mutable std::vector<uint8_t> resident_grid_valid_;
   // Nullable observability sink (see set_forest_timer).
   obs::Histogram* forest_timer_ = nullptr;
-  size_t forest_timer_lane_base_ = 0;
+  size_t forest_timer_lane_ = 0;
 };
 
 }  // namespace optum::core

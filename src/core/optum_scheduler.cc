@@ -15,23 +15,16 @@ OptumScheduler::OptumScheduler(OptumProfiles profiles, OptumConfig config)
                        config.use_triple_ero
                            ? ResourceUsagePredictor::Grouping::kTripleWise
                            : ResourceUsagePredictor::Grouping::kPairwise),
-      interference_predictor_(profiles_.get(), /*cache_buckets=*/64,
+      interference_predictor_(profiles_.get(),
                               /*use_host_app_counts=*/config.use_incremental_cache),
       rng_(config.seed) {
-  if (config_.num_threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-    // One private prediction-cache shard per lane (workers + the calling
-    // thread), so parallel scoring shares no mutable cache state.
-    interference_predictor_.set_num_lanes(pool_->num_lanes());
-  }
   usage_predictor_.set_cache_enabled(config_.use_incremental_cache);
 }
 
 OptumScheduler::~OptumScheduler() = default;
 
 OptumScheduler::HostEvaluation OptumScheduler::EvaluateHost(const PodSpec& pod,
-                                                            const Host& host,
-                                                            size_t lane) const {
+                                                            const Host& host) const {
   HostEvaluation eval;
   const Resources predicted = usage_predictor_.PredictHost(host, &pod);
   const double cpu_util = predicted.cpu / host.capacity.cpu;
@@ -47,12 +40,12 @@ OptumScheduler::HostEvaluation OptumScheduler::EvaluateHost(const PodSpec& pod,
   double interference = 0.0;
   if (config_.score_mode == ScoreMode::kPaperAbsolute) {
     interference = interference_predictor_.TotalInterference(
-        host, pod, cpu_util, mem_util, config_.omega_o, config_.omega_b, lane);
+        host, pod, cpu_util, mem_util, config_.omega_o, config_.omega_b);
   } else {
     const Resources before = usage_predictor_.PredictHost(host, nullptr);
     interference = interference_predictor_.MarginalInterference(
         host, pod, before.cpu / host.capacity.cpu, before.mem / host.capacity.mem,
-        cpu_util, mem_util, config_.omega_o, config_.omega_b, lane);
+        cpu_util, mem_util, config_.omega_o, config_.omega_b);
   }
   eval.feasible = true;
   eval.cpu_util = cpu_util;
@@ -82,43 +75,24 @@ PlacementDecision OptumScheduler::PlaceScored(const PodSpec& pod,
                                               const ClusterState& cluster,
                                               double* best_score) {
   {
-    // Sampling draws from the scheduler's own serial rng_ stream before any
-    // parallel work, so the candidate set is identical for every num_threads.
     obs::ScopedTimer timer(sample_timer_, metrics_lane_base_);
     SampleHostsInto(cluster, config_.sample_fraction, config_.min_candidates, rng_,
                     &sample_scratch_, &candidates_);
   }
   scored_.resize(candidates_.size());
-
-  // Candidates are sampled without replacement, so parallel scoring touches
-  // distinct per-host cache slots; pre-size the cache so no worker resizes.
+  // Size the per-host baseline cache once, not host by host.
   usage_predictor_.ReserveHosts(cluster.num_hosts());
 
-  // Each worker scores through its own lane's prediction-cache shard; the
-  // scores are lane-independent, so any work distribution yields the same
-  // scored_ array as a serial pass. With a decision log attached, each
-  // candidate is additionally tagged with the lane-local miss delta its
-  // scoring caused — reading two lane-private counters, which cannot
-  // perturb the scores themselves.
-  const bool tag_misses = decision_log_ != nullptr;
-  auto score_candidate = [&](size_t lane, size_t i) {
-    if (tag_misses) {
-      const uint64_t misses_before = interference_predictor_.lane_misses(lane);
-      scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]), lane);
-      scored_[i].cache_misses =
-          interference_predictor_.lane_misses(lane) - misses_before;
-    } else {
-      scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]), lane);
-    }
-  };
-
   {
+    // With a decision log attached, each candidate is also tagged with the
+    // predictor misses its scoring caused; reading the counter cannot
+    // perturb the scores themselves.
     obs::ScopedTimer timer(score_timer_, metrics_lane_base_);
-    if (pool_ != nullptr && candidates_.size() >= 2 * pool_->num_threads()) {
-      pool_->ParallelForLane(candidates_.size(), score_candidate);
-    } else {
-      for (size_t i = 0; i < candidates_.size(); ++i) {
-        score_candidate(0, i);
+    for (size_t i = 0; i < candidates_.size(); ++i) {
+      const uint64_t misses_before = interference_predictor_.misses();
+      scored_[i] = EvaluateHost(pod, cluster.host(candidates_[i]));
+      if (decision_log_ != nullptr) {
+        scored_[i].cache_misses = interference_predictor_.misses() - misses_before;
       }
     }
   }
@@ -132,8 +106,8 @@ PlacementDecision OptumScheduler::ReduceAndLog(
     const std::vector<HostId>& candidates,
     const std::vector<HostEvaluation>& evals, double* best_score,
     bool emit_decision_log) {
-  // Serial reduction in candidate order: ties break toward the earlier
-  // sampled candidate regardless of which lane scored which index.
+  // Reduction in candidate order: ties break toward the earlier sampled
+  // candidate.
   size_t best = candidates.size();
   int64_t feasible = 0;
   bool any_cpu = false, any_mem = false;
@@ -162,8 +136,8 @@ PlacementDecision OptumScheduler::ReduceAndLog(
     }
   }
   if (span_log_ != nullptr) {
-    // Serial path: the reduction above is complete, so both spans are pure
-    // functions of the (thread-count-invariant) candidate scores.
+    // The reduction above is complete, so both spans are pure functions of
+    // the candidate scores.
     span_log_->Append({.tick = cluster.now(),
                        .pod = pod.id,
                        .phase = obs::SpanPhase::kSampled,
@@ -204,23 +178,15 @@ void OptumScheduler::AttachSinks(const obs::Sinks& sinks, size_t lane_base,
     interference_predictor_.set_forest_timer(nullptr);
     return;
   }
-  if (pool_ != nullptr) {
-    // Parallel scoring records at the pool's lane ids, so the base must be
-    // zero and the registry must cover every lane.
-    OPTUM_CHECK_MSG(lane_base == 0,
-                    "a scheduler with its own scoring pool must attach at lane 0");
-    registry->set_num_lanes(pool_->num_lanes());
-  } else {
-    registry->set_num_lanes(lane_base + 1);
-  }
+  registry->set_num_lanes(lane_base + 1);
   sample_timer_ = registry->histogram(prefix + ".sample_seconds");
   score_timer_ = registry->histogram(prefix + ".score_seconds");
   placements_counter_ = registry->counter(prefix + ".placements");
   rejections_counter_ = registry->counter(prefix + ".rejections");
   interference_predictor_.set_forest_timer(
       registry->histogram(prefix + ".forest_eval_seconds"), lane_base);
-  // Pull-style cache statistics: refreshed from the predictor's lane-merged
-  // tallies at every registry sample/export, so the per-tick series tracks
+  // Pull-style cache statistics: refreshed from the predictor's tallies at
+  // every registry sample/export, so the per-tick series tracks
   // hit-rate evolution without per-probe registry calls. The collector
   // holds a pointer to this scheduler: attach once, and keep the scheduler
   // alive until the registry's final export.
@@ -235,7 +201,6 @@ void OptumScheduler::AttachSinks(const obs::Sinks& sinks, size_t lane_base,
     r->gauge(prefix + ".pred_cache_misses")
         ->Set(static_cast<double>(s.predict_misses));
     r->gauge(prefix + ".pred_cache_hit_rate")->Set(rate(s.predict_hits, s.predict_misses));
-    r->gauge(prefix + ".raw_cache_hit_rate")->Set(rate(s.raw_hits, s.raw_misses));
     r->gauge(prefix + ".slope_cache_hits")->Set(static_cast<double>(s.slope_hits));
     r->gauge(prefix + ".slope_cache_misses")
         ->Set(static_cast<double>(s.slope_misses));
@@ -395,23 +360,14 @@ void OptumScheduler::ScoreThroughMemo(const PodSpec& pod,
     }
   }
 
-  // Evaluate the misses — through the scoring pool when the shard has one
-  // and the batch justifies it. Results are lane-invariant (EvaluateHost is
-  // a pure function of its key; PR 2's caches are lane-pure), so the memo
-  // stays bit-identical to uncached evaluation either way.
-  auto eval_miss = [&](size_t lane, size_t k) {
-    const size_t i = memo_miss_scratch_[k];
-    (*evals)[i] = EvaluateHost(pod, cluster.host(candidates[i]), lane);
-  };
-  if (pool_ != nullptr && memo_miss_scratch_.size() >= 2 * pool_->num_threads()) {
-    pool_->ParallelForLane(memo_miss_scratch_.size(), eval_miss);
-  } else {
-    for (size_t k = 0; k < memo_miss_scratch_.size(); ++k) {
-      eval_miss(0, k);
-    }
+  // Evaluate the misses. EvaluateHost is a pure function of the memo key
+  // (the predictor's cached values are key-pure), so the memo stays
+  // bit-identical to uncached evaluation.
+  for (const uint32_t i : memo_miss_scratch_) {
+    (*evals)[i] = EvaluateHost(pod, cluster.host(candidates[i]));
   }
 
-  // Serial publish pass: install the fresh evaluations.
+  // Publish pass: install the fresh evaluations.
   for (const uint32_t k : memo_miss_scratch_) {
     const HostId id = candidates[k];
     MemoEntry* slot = MemoSlot(id, pod.app);

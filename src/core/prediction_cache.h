@@ -6,8 +6,8 @@
 // handful of cache probes.
 //
 // Not internally synchronized: a cache instance must only be touched by one
-// thread at a time. Parallel candidate scoring gives every thread-pool lane
-// its own instance (see InterferencePredictor::set_num_lanes).
+// thread at a time. Each scheduler owns its predictor's caches and scores
+// its candidates serially, so distributed shards never share one.
 #ifndef OPTUM_SRC_CORE_PREDICTION_CACHE_H_
 #define OPTUM_SRC_CORE_PREDICTION_CACHE_H_
 

@@ -37,18 +37,11 @@ void RandomForestRegressor::Fit(const Dataset& data) {
     }
     trees_.push_back(std::move(tree));
   }
-  compiled_ = CompiledForest::Compile(
-      *this, {.quantized_thresholds = params_.quantized_inference});
+  compiled_ = CompiledForest::Compile(*this);
 }
 
 double RandomForestRegressor::Predict(std::span<const double> features) const {
   OPTUM_CHECK(!trees_.empty());
-  // Quantized mode delegates to the compiled engine so Predict and
-  // PredictBatch stay mutually bit-identical (the Regressor contract);
-  // pointer descent remains the reference for the default exact mode.
-  if (compiled_.quantized()) {
-    return compiled_.Predict(features);
-  }
   double acc = 0.0;
   for (const auto& tree : trees_) {
     acc += tree->Predict(features);

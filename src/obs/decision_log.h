@@ -3,12 +3,11 @@
 // the pod, how many candidates were sampled and feasible, the chosen host,
 // and the top-k candidates with their Eq. 11 score broken into its terms
 // (usage fit POC/Cap * POM/Cap, weighted interference, and how many
-// prediction-cache misses scoring the candidate cost — a warm candidate
-// logs 0).
+// interference-predictor cache misses scoring the candidate cost — a warm
+// candidate logs 0).
 //
-// Records are rendered by the serial reduction phase of PlaceScored, so the
-// log never sees concurrent appends from one scheduler; distinct schedulers
-// must use distinct logs. A null DecisionLog* disables logging at the cost
+// Records are rendered after PlaceScored's best-candidate reduction, on the
+// scheduler's own thread; distinct schedulers must use distinct logs. A null DecisionLog* disables logging at the cost
 // of one branch.
 #ifndef OPTUM_SRC_OBS_DECISION_LOG_H_
 #define OPTUM_SRC_OBS_DECISION_LOG_H_
@@ -30,7 +29,10 @@ struct CandidateTrace {
   double mem_util = 0.0;       // predicted post-placement POM/CapM
   double usage_fit = 0.0;      // Eq. 11 first term: cpu_util * mem_util
   double interference = 0.0;   // Eq. 11 weighted interference sum
-  uint64_t cache_misses = 0;   // prediction/slope-cache misses while scoring
+  // Interference-predictor misses charged while scoring this candidate:
+  // Predict-cache misses plus slope-cache misses (each slope miss evaluates
+  // both finite-difference endpoints, uncached).
+  uint64_t cache_misses = 0;
 };
 
 struct DecisionTrace {

@@ -8,12 +8,12 @@
 //               lane-sharded, merged on read. Unit-agnostic; the scoped
 //               timers feed it seconds.
 //
-// Sharding follows the PR 2 prediction-cache design: every metric owns one
-// cache-line-aligned shard per thread-pool lane, updates name a lane and
-// touch only that shard, and reads merge all shards. Concurrent updates are
-// safe iff they use distinct lanes (the ParallelForLane contract); merged
-// reads require quiescence (no in-flight updates), which every call site —
-// per-tick sampling, final export — satisfies by construction.
+// Sharding: every metric owns one cache-line-aligned shard per lane, updates
+// name a lane and touch only that shard, and reads merge all shards. The
+// distributed coordinator gives each concurrently running shard scheduler
+// its own lane. Concurrent updates are safe iff they use distinct lanes;
+// merged reads require quiescence (no in-flight updates), which every call
+// site — per-tick sampling, final export — satisfies by construction.
 //
 // Instrumented code holds nullable pointers to metrics ("single branch on a
 // nullable sink"): when no registry is attached the only cost is a

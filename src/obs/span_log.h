@@ -11,7 +11,7 @@
 // The log is a JSONL stream: one header line carrying the optum.spans.v1
 // schema tag, then one line per transition. Only deterministic fields are
 // rendered (ticks, ids, counts, Eq. 11 scores) — never wall-clock readings —
-// so the byte stream is bit-identical across OptumConfig::num_threads
+// so the byte stream reproduces exactly from run to run
 // (tests/concurrency_test pins this). Wall-time phase latencies flow into
 // MetricRegistry histograms instead, where nondeterminism is expected.
 //

@@ -289,8 +289,7 @@ void PlacementService::SamplePressure() {
     if (ls_pods > 0) {
       in.interference =
           predictor.ResidentInterference(host, in.cpu_util, in.mem_util,
-                                         /*weight_ls=*/1.0, /*weight_be=*/0.0,
-                                         /*lane=*/0) /
+                                         /*weight_ls=*/1.0, /*weight_be=*/0.0) /
           static_cast<double>(ls_pods);
     }
     pressure_->ObserveHost(host.id, in);

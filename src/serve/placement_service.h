@@ -9,9 +9,10 @@
 // tick == one round, unlike the simulator's fixed 30 s ticks). Every
 // latency is derived from round arithmetic — placement latency of a pod is
 // (placed_round - submit_round) * round_seconds — so all exported rows are
-// bit-deterministic for a given config: independent of wall-clock, of
-// OptumConfig::num_threads inside the shards (scoring is bit-identical
-// across thread counts), and of the shard-histogram merge order.
+// bit-deterministic for a given config: independent of wall-clock, of how
+// the coordinator's shard tasks interleave (each shard scores serially on
+// its own task and conflicts resolve serially), and of the
+// shard-histogram merge order.
 //
 // Each service round:
 //   1. arrivals  — the open-loop driver emits this round's pods; each is
@@ -170,8 +171,8 @@ class PlacementService {
   // Host-pressure monitor (DESIGN.md §13; nullptr detaches). At the end of
   // every round the service feeds each host — in id order, on the serial
   // round loop — its request-based utilization, the shard-0 predictor's
-  // resident-interference estimate (mean RI per LS/LSR pod, lane 0; key-pure
-  // caches keep it bit-identical across shard_num_threads), and the resident
+  // resident-interference estimate (mean RI per LS/LSR pod; key-pure caches
+  // make it independent of the predictor's cache history), and the resident
   // class counts. serve.pressure.* / serve.slo.* gauges come from the
   // monitor's AttachSinks; the caller owns the monitor and calls Finalize()
   // on it after the last round.

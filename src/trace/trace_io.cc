@@ -1,10 +1,12 @@
 #include "src/trace/trace_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -44,10 +46,37 @@ size_t ParseRow(const char* line, std::vector<double>& out) {
   return out.size();
 }
 
+// Converts a parsed field to integer type T as static_cast would (the
+// fraction is truncated), but only where that conversion is defined: NaN,
+// infinities and values whose integer part lies outside T's range return
+// false. The upper bound max() + 1.0 is exact in double for 32- and 64-bit
+// T (for int64 max() already rounds up to 2^63), so the test is too.
+template <typename T>
+bool ToInteger(double v, T* out) {
+  const double t = std::trunc(v);
+  if (!(t >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        t < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    return false;
+  }
+  *out = static_cast<T>(t);
+  return true;
+}
+
+// As ToInteger, and the code must name a SloClass enumerator.
+bool ToSloClass(double v, SloClass* out) {
+  int code = 0;
+  if (!ToInteger(v, &code) || code < 0 || code >= kNumSloClasses) {
+    return false;
+  }
+  *out = static_cast<SloClass>(code);
+  return true;
+}
+
 // Reads whole lines of any length (getline grows the buffer), so a long row
-// is never split into two.
+// is never split into two. `fn` returns false to reject a row, which fails
+// the whole file.
 bool ForEachRow(FILE* f, size_t expected_fields,
-                const std::function<void(const std::vector<double>&)>& fn) {
+                const std::function<bool(const std::vector<double>&)>& fn) {
   struct LineBuffer {
     char* data = nullptr;
     size_t capacity = 0;
@@ -63,10 +92,9 @@ bool ForEachRow(FILE* f, size_t expected_fields,
     if (line.data[0] == '\n' || line.data[0] == '\0') {
       continue;
     }
-    if (ParseRow(line.data, fields) != expected_fields) {
+    if (ParseRow(line.data, fields) != expected_fields || !fn(fields)) {
       return false;
     }
-    fn(fields);
   }
   return true;
 }
@@ -152,9 +180,12 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 3, [&](const std::vector<double>& v) {
           NodeMeta n;
-          n.machine_id = static_cast<HostId>(v[0]);
+          if (!ToInteger(v[0], &n.machine_id)) {
+            return false;
+          }
           n.capacity = {v[1], v[2]};
           out->nodes.push_back(n);
+          return true;
         })) {
       return false;
     }
@@ -164,14 +195,15 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 9, [&](const std::vector<double>& v) {
           PodMeta p;
-          p.pod_id = static_cast<PodId>(v[0]);
-          p.app_id = static_cast<AppId>(v[1]);
-          p.slo = static_cast<SloClass>(static_cast<int>(v[2]));
+          if (!ToInteger(v[0], &p.pod_id) || !ToInteger(v[1], &p.app_id) ||
+              !ToSloClass(v[2], &p.slo) || !ToInteger(v[7], &p.submit_tick) ||
+              !ToInteger(v[8], &p.original_machine_id)) {
+            return false;
+          }
           p.request = {v[3], v[4]};
           p.limit = {v[5], v[6]};
-          p.submit_tick = static_cast<Tick>(v[7]);
-          p.original_machine_id = static_cast<HostId>(v[8]);
           out->pods.push_back(p);
+          return true;
         })) {
       return false;
     }
@@ -181,13 +213,15 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 6, [&](const std::vector<double>& v) {
           NodeUsageRecord r;
-          r.machine_id = static_cast<HostId>(v[0]);
-          r.collect_tick = static_cast<Tick>(v[1]);
+          if (!ToInteger(v[0], &r.machine_id) || !ToInteger(v[1], &r.collect_tick)) {
+            return false;
+          }
           r.cpu_usage = v[2];
           r.mem_usage = v[3];
           r.disk_usage = v[4];
           r.net_usage = v[5];
           out->node_usage.push_back(r);
+          return true;
         })) {
       return false;
     }
@@ -197,9 +231,10 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 13, [&](const std::vector<double>& v) {
           PodUsageRecord r;
-          r.pod_id = static_cast<PodId>(v[0]);
-          r.host = static_cast<HostId>(v[1]);
-          r.collect_tick = static_cast<Tick>(v[2]);
+          if (!ToInteger(v[0], &r.pod_id) || !ToInteger(v[1], &r.host) ||
+              !ToInteger(v[2], &r.collect_tick)) {
+            return false;
+          }
           r.cpu_usage = v[3];
           r.mem_usage = v[4];
           r.disk_usage = v[5];
@@ -211,6 +246,7 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
           r.qps = v[11];
           r.response_time = v[12];
           out->pod_usage.push_back(r);
+          return true;
         })) {
       return false;
     }
@@ -220,18 +256,18 @@ bool ReadTraceBundle(const std::string& directory, TraceBundle* out) {
     if (!f) return false;
     if (!ForEachRow(f.get(), 11, [&](const std::vector<double>& v) {
           PodLifecycleRecord r;
-          r.pod_id = static_cast<PodId>(v[0]);
-          r.app_id = static_cast<AppId>(v[1]);
-          r.slo = static_cast<SloClass>(static_cast<int>(v[2]));
-          r.submit_tick = static_cast<Tick>(v[3]);
-          r.schedule_tick = static_cast<Tick>(v[4]);
-          r.finish_tick = static_cast<Tick>(v[5]);
-          r.host = static_cast<HostId>(v[6]);
+          if (!ToInteger(v[0], &r.pod_id) || !ToInteger(v[1], &r.app_id) ||
+              !ToSloClass(v[2], &r.slo) || !ToInteger(v[3], &r.submit_tick) ||
+              !ToInteger(v[4], &r.schedule_tick) || !ToInteger(v[5], &r.finish_tick) ||
+              !ToInteger(v[6], &r.host)) {
+            return false;
+          }
           r.waiting_seconds = v[7];
           r.ideal_completion_ticks = v[8];
           r.actual_completion_ticks = v[9];
           r.max_cpu_psi = v[10];
           out->lifecycles.push_back(r);
+          return true;
         })) {
       return false;
     }

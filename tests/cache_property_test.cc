@@ -3,8 +3,9 @@
 //    Insert/Find/Clear interleavings that force Grow() rehashes;
 //  - the by-value Find() contract: lookups stay valid across inserts (the
 //    old pointer-returning API dangled across an Insert-triggered Grow);
-//  - lane-sharded InterferencePredictor caches hammered from concurrent
-//    threads (distinct lanes) with results identical to serial lane 0;
+//  - InterferencePredictor history independence: Predict and
+//    MarginalInterference return the same bits cold, warmed in shuffled
+//    order, and after ClearCache();
 //  - the epoch-keyed host-baseline cache: randomized Place/Remove/Observe/
 //    InvalidateAll interleavings must never let a stale prediction survive
 //    a Host::change_epoch or EroTable::version bump.
@@ -13,15 +14,19 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/core/interference_predictor.h"
 #include "src/core/prediction_cache.h"
 #include "src/core/resource_usage_predictor.h"
-#include "src/ml/linear.h"
+#include "src/ml/regressor.h"
 #include "src/stats/rng.h"
+#include "src/trace/app_model.h"
 #include "src/trace/workload_generator.h"
 
 namespace optum::core {
@@ -122,92 +127,162 @@ TEST(PredictionCachePropertyTest, ClearKeepsCapacityAndForgetsKeys) {
   }
 }
 
-// --- Lane-sharded predictor stress -------------------------------------------
+// --- Predictor cache history independence ----------------------------------
 
-std::unique_ptr<ml::Regressor> TrainedLsModel() {
-  ml::Dataset d(kLsFeatureCount);
-  for (double util = 0.0; util <= 2.0; util += 0.05) {
-    const double features[kLsFeatureCount] = {0.5, 0.5, util, 0.3, 1.0};
-    d.Add(features, 0.4 * util);
+// A model that is smooth and nonlinear in both host utilizations, so any
+// evaluation that is not snapped to its cache bucket's canonical point gives
+// a different value for two queries sharing the bucket (a linear model
+// would hide a raw-point slope).
+class SmoothContentionModel final : public ml::Regressor {
+ public:
+  explicit SmoothContentionModel(double scale) : scale_(scale) {}
+  void Fit(const ml::Dataset&) override {}
+  double Predict(std::span<const double> f) const override {
+    const double cpu = f[2];
+    const double mem = f[3];
+    return scale_ * (0.3 * cpu * cpu + 0.2 * cpu * mem + 0.1 * mem) + 0.05 * f[0];
   }
-  auto model = std::make_unique<ml::LinearRegressor>();
-  model->Fit(d);
-  return model;
-}
+  std::string name() const override { return "smooth"; }
 
-OptumProfiles MakeLaneProfiles(int num_apps) {
+ private:
+  double scale_;
+};
+
+constexpr int kHistoryApps = 9;
+
+// Apps 0..7 alternate LS and BE with distinct curves; app 8 has no model
+// (the predictor must skip it without disturbing anything else).
+OptumProfiles MakeHistoryProfiles() {
   OptumProfiles profiles;
-  for (AppId app = 0; app < num_apps; ++app) {
+  for (AppId app = 0; app < kHistoryApps; ++app) {
     AppModel m;
-    m.stats.slo = SloClass::kLs;
-    m.stats.max_pod_cpu_util = 0.5;
-    m.stats.max_pod_mem_util = 0.5;
-    m.discretizer = ml::Discretizer(0.0, 1.0, 25);
-    m.model = TrainedLsModel();
+    m.stats.slo = app % 2 == 0 ? SloClass::kLs : SloClass::kBe;
+    m.stats.max_pod_cpu_util = 0.1 + 0.05 * app;
+    m.stats.max_pod_mem_util = 0.3;
+    // Fine output grid, so discretization does not mask a wrong input.
+    m.discretizer = ml::Discretizer(0.0, 2.5, 1000);
+    if (app + 1 < kHistoryApps) {
+      m.model = std::make_shared<SmoothContentionModel>(0.5 + 0.1 * app);
+    }
     profiles.apps.emplace(app, std::move(m));
   }
   return profiles;
 }
 
-TEST(LaneShardedPredictorTest, ConcurrentLanesMatchSerialLaneZero) {
-  constexpr int kApps = 16;
-  const OptumProfiles profiles = MakeLaneProfiles(kApps);
-  InterferencePredictor predictor(&profiles);
+AppProfile MakeHistoryApp(AppId id) {
+  AppProfile app;
+  app.id = id;
+  app.slo = id % 2 == 0 ? SloClass::kLs : SloClass::kBe;
+  app.request = {0.02, 0.02};
+  app.limit = {0.04, 0.04};
+  return app;
+}
 
-  // Query grid: (app, cpu, mem) tuples covering many cache buckets, with
-  // repeats so every lane sees both cold misses and warm hits.
-  struct Query {
-    AppId app;
-    double cpu;
-    double mem;
-  };
-  std::vector<Query> queries;
-  Rng rng(77);
-  for (int i = 0; i < 20000; ++i) {
-    queries.push_back(Query{static_cast<AppId>(rng.NextBelow(kApps)),
-                            rng.NextDouble() * 2.0, rng.NextDouble() * 2.0});
+TEST(PredictorHistoryTest, ColdWarmShuffledAndClearedAgreeBitForBit) {
+  const OptumProfiles profiles = MakeHistoryProfiles();
+  std::vector<AppProfile> apps;
+  for (AppId app = 0; app < kHistoryApps; ++app) {
+    apps.push_back(MakeHistoryApp(app));
   }
-
-  // Serial ground truth through lane 0.
-  std::vector<double> expected(queries.size());
-  std::vector<double> expected_raw(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = predictor.Predict(queries[i].app, queries[i].cpu, queries[i].mem);
-    expected_raw[i] =
-        predictor.PredictRaw(queries[i].app, queries[i].cpu, queries[i].mem);
-  }
-
-  // Fresh predictor (cold caches), hammered from 8 lanes concurrently.
-  // Cached values are pure functions of their keys, so every lane must
-  // reproduce lane 0's serial answers exactly — and TSan must see no
-  // cross-lane writes.
-  InterferencePredictor sharded(&profiles);
-  ThreadPool pool(7);
-  sharded.set_num_lanes(pool.num_lanes());
-  ASSERT_EQ(sharded.num_lanes(), 8u);
-  std::vector<double> got(queries.size());
-  std::vector<double> got_raw(queries.size());
-  for (int round = 0; round < 2; ++round) {  // round 2 hits warm lane caches
-    pool.ParallelForLane(queries.size(), [&](size_t lane, size_t i) {
-      got[i] = sharded.Predict(queries[i].app, queries[i].cpu, queries[i].mem, lane);
-      got_raw[i] =
-          sharded.PredictRaw(queries[i].app, queries[i].cpu, queries[i].mem, lane);
-    });
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(got[i], expected[i]) << "query " << i << " round " << round;
-      ASSERT_EQ(got_raw[i], expected_raw[i]) << "query " << i << " round " << round;
+  // Eight hosts, each with pods of several apps (host h holds apps h..h+3,
+  // some twice), so MarginalInterference sums several slope terms per host.
+  constexpr int kHosts = 8;
+  ClusterState cluster(kHosts, kUnitResources, /*history_window=*/8);
+  PodId next_id = 0;
+  for (HostId h = 0; h < kHosts; ++h) {
+    for (int k = 0; k < 6; ++k) {
+      const AppProfile& app = apps[static_cast<size_t>((h + k % 4) % kHistoryApps)];
+      cluster.Place(MakePodSpec(next_id++, app), &app, h, 0);
     }
   }
 
-  // ClearCache drops every lane's shard, not just lane 0.
-  sharded.ClearCache();
-  EXPECT_EQ(sharded.cache_size(), 0u);
-  pool.ParallelForLane(queries.size(), [&](size_t lane, size_t i) {
-    got[i] = sharded.Predict(queries[i].app, queries[i].cpu, queries[i].mem, lane);
-  });
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(got[i], expected[i]) << "after ClearCache, query " << i;
+  // The fixed query set: clusters of points jittered around cache-bucket
+  // centres, so many queries share a Predict or slope bucket with a
+  // different raw utilization. Utilizations reach past 2.0 to cover the
+  // clamp at the grid's top edge.
+  struct Query {
+    bool marginal;
+    AppId app;
+    HostId host;
+    double cpu_before, mem_before, cpu_after, mem_after;
+  };
+  std::vector<Query> queries;
+  Rng rng(2718);
+  const double bucket = 2.0 / 63.0;  // the predictor's 64-bucket grid
+  for (int base = 0; base < 300; ++base) {
+    const AppId app = static_cast<AppId>(rng.NextBelow(kHistoryApps));
+    const HostId host = static_cast<HostId>(rng.NextBelow(kHosts));
+    const double cpu = (static_cast<double>(rng.NextBelow(68)) + 0.5) * bucket;
+    const double mem = (static_cast<double>(rng.NextBelow(66)) + 0.5) * bucket;
+    for (int jitter = 0; jitter < 4; ++jitter) {
+      const double dc = (rng.NextDouble() - 0.5) * 0.9 * bucket;
+      const double dm = (rng.NextDouble() - 0.5) * 0.9 * bucket;
+      const double delta = 0.005 + 0.02 * rng.NextDouble();
+      queries.push_back(Query{base % 2 == 1, app, host, cpu + dc - delta,
+                              mem + dm, cpu + dc + delta, mem + dm});
+    }
   }
+
+  const auto evaluate = [&](const InterferencePredictor& predictor,
+                            const Query& q) {
+    if (!q.marginal) {
+      return predictor.Predict(q.app, q.cpu_after, q.mem_after);
+    }
+    const PodSpec incoming = MakePodSpec(1'000'000, apps[static_cast<size_t>(q.app)]);
+    return predictor.MarginalInterference(cluster.host(q.host), incoming,
+                                          q.cpu_before, q.mem_before, q.cpu_after,
+                                          q.mem_after, /*weight_ls=*/0.7,
+                                          /*weight_be=*/0.3);
+  };
+
+  // Cold: every query answered by a predictor that has seen nothing else.
+  std::vector<double> cold(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const InterferencePredictor fresh(&profiles);
+    cold[i] = evaluate(fresh, queries[i]);
+  }
+  size_t nonzero = 0;
+  for (const double v : cold) {
+    nonzero += v != 0.0 ? 1 : 0;
+  }
+  ASSERT_GT(nonzero, queries.size() / 2);
+
+  std::vector<size_t> order(queries.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
+  }
+  const auto shuffle = [&] {
+    for (size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.NextBelow(i)]);
+    }
+  };
+  const auto expect_cold = [&](const InterferencePredictor& predictor,
+                               const std::string& phase) {
+    for (const size_t i : order) {
+      ASSERT_EQ(evaluate(predictor, queries[i]), cold[i])
+          << phase << ", query " << i << (queries[i].marginal ? " (marginal)" : "");
+    }
+  };
+
+  // Warm: one predictor fills its caches in a shuffled order (every bucket
+  // is first missed by a random member of its cluster), then answers again
+  // in another order, all from the caches.
+  InterferencePredictor predictor(&profiles);
+  shuffle();
+  expect_cold(predictor, "warming pass");
+  const uint64_t misses_after_warm = predictor.misses();
+  shuffle();
+  expect_cold(predictor, "warm pass");
+  EXPECT_EQ(predictor.misses(), misses_after_warm);  // all hits
+  EXPECT_GT(predictor.cache_stats().slope_hits, 0u);
+
+  // Cleared: ClearCache drops both caches, and refilling them in yet
+  // another order still reproduces the cold values.
+  predictor.ClearCache();
+  EXPECT_EQ(predictor.cache_size(), 0u);
+  shuffle();
+  expect_cold(predictor, "after ClearCache");
+  EXPECT_GT(predictor.misses(), misses_after_warm);
 }
 
 // --- Epoch-keyed host-baseline cache -----------------------------------------
@@ -280,9 +355,10 @@ TEST(HostBaselineCacheStressTest, NoStaleHitSurvivesEpochOrVersionBumps) {
 }
 
 TEST(HostBaselineCacheStressTest, ParallelDistinctHostPredictionsAreSafe) {
-  // PlaceScored's contract: candidates are distinct hosts, so concurrent
-  // PredictHost calls touch distinct cache slots. Drive that pattern through
-  // a real pool (TSan-verifiable) and check values against serial rescans.
+  // ResourceUsagePredictor's contract: after ReserveHosts, concurrent
+  // PredictHost calls on distinct hosts touch distinct cache slots. Drive
+  // that pattern through a real pool (TSan-verifiable) and check values
+  // against serial rescans.
   WorkloadConfig wconfig;
   wconfig.num_hosts = 64;
   wconfig.horizon = kTicksPerHour;
@@ -304,8 +380,7 @@ TEST(HostBaselineCacheStressTest, ParallelDistinctHostPredictionsAreSafe) {
   const PodSpec& probe = workload.pods.front();
   ThreadPool pool(4);
   std::vector<Resources> predicted(cluster.num_hosts());
-  pool.ParallelForLane(cluster.num_hosts(), [&](size_t lane, size_t i) {
-    (void)lane;
+  pool.ParallelFor(cluster.num_hosts(), [&](size_t i) {
     predicted[i] = predictor.PredictHost(cluster.host(static_cast<HostId>(i)), &probe);
   });
   for (size_t i = 0; i < cluster.num_hosts(); ++i) {

@@ -1,21 +1,16 @@
-// Thread-count invariance of Optum's candidate scoring: PlaceScored must
-// produce bit-identical placement decisions, node scores, and aggregate
-// cluster state for every OptumConfig::num_threads value. Parallel scoring
-// gives each thread-pool lane a private prediction-cache shard whose values
-// are pure functions of their keys, so lane assignment (and therefore
-// thread timing) can never leak into a score — these tests prove it at the
-// scheduler level on a >= 1,000-host cluster and end-to-end through the
-// simulator. Run them under the `tsan` preset (tools/sanitize_runner.sh) to
-// also prove the absence of data races, not just of nondeterminism.
+// Observer invariance of Optum's candidate scoring on a >= 1,000-host
+// cluster: attaching the metrics registry, the decision log or the span log
+// must leave every placement, score and final cluster aggregate of a
+// PlaceScored stream unchanged, and the span log's bytes must reproduce
+// from run to run. Labeled `concurrency` so tools/sanitize_runner.sh also
+// runs it under TSan and ASan+UBSan.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/offline_profiler.h"
 #include "src/core/optum_scheduler.h"
 #include "src/obs/decision_log.h"
@@ -31,7 +26,6 @@ namespace {
 using core::OptumConfig;
 using core::OptumProfiles;
 using core::OptumScheduler;
-using core::ScoreMode;
 
 Workload MakeWorkload(int hosts, Tick horizon, uint64_t seed) {
   WorkloadConfig config;
@@ -56,8 +50,6 @@ OptumProfiles TrainProfiles(const Workload& workload, const SimConfig& sim_confi
   return core::OfflineProfiler(prof).BuildProfiles(ref.trace);
 }
 
-// --- Scheduler-level thread-count invariance ---------------------------------
-
 // Everything a placement stream can observably produce: the decision and
 // Eq. 11 score per pod, plus the final per-host cluster aggregates the
 // stream's commits built up.
@@ -77,7 +69,6 @@ struct StreamResult {
 StreamResult StreamPlacements(const OptumProfiles& profiles,
                               const std::vector<const AppProfile*>& catalog,
                               int num_hosts, int prefill_per_host, int stream,
-                              size_t num_threads, ScoreMode score_mode,
                               obs::MetricRegistry* registry = nullptr,
                               obs::DecisionLog* decision_log = nullptr,
                               obs::SpanLog* span_log = nullptr) {
@@ -92,10 +83,7 @@ StreamResult StreamPlacements(const OptumProfiles& profiles,
     }
   }
 
-  OptumConfig config;
-  config.num_threads = num_threads;
-  config.score_mode = score_mode;
-  OptumScheduler scheduler(profiles, config);
+  OptumScheduler scheduler(profiles, OptumConfig{});
   obs::Sinks sinks;
   sinks.metrics = registry;
   sinks.decision_log = decision_log;
@@ -133,66 +121,25 @@ StreamResult StreamPlacements(const OptumProfiles& profiles,
 }
 
 // Bit-identical: EXPECT_EQ on doubles is exact equality, not ULP-tolerant.
-void ExpectIdenticalStreams(const StreamResult& a, const StreamResult& b,
-                            size_t num_threads) {
+void ExpectIdenticalStreams(const StreamResult& a, const StreamResult& b) {
   ASSERT_EQ(a.hosts.size(), b.hosts.size());
   for (size_t i = 0; i < a.hosts.size(); ++i) {
-    ASSERT_EQ(a.hosts[i], b.hosts[i])
-        << "placement diverged at pod " << i << " with num_threads=" << num_threads;
+    ASSERT_EQ(a.hosts[i], b.hosts[i]) << "placement diverged at pod " << i;
     ASSERT_EQ(a.reasons[i], b.reasons[i]) << "at pod " << i;
-    ASSERT_EQ(a.scores[i], b.scores[i])
-        << "score diverged at pod " << i << " with num_threads=" << num_threads;
+    ASSERT_EQ(a.scores[i], b.scores[i]) << "score diverged at pod " << i;
   }
   ASSERT_EQ(a.pods_per_host, b.pods_per_host);
   ASSERT_EQ(a.request_cpu_per_host, b.request_cpu_per_host);
   ASSERT_EQ(a.change_epochs, b.change_epochs);
 }
 
-class ThreadCountInvarianceTest : public ::testing::TestWithParam<ScoreMode> {};
-
-TEST_P(ThreadCountInvarianceTest, PlaceScoredBitIdenticalAcrossThreadCounts) {
-  const ScoreMode score_mode = GetParam();
-  // Profiles train on a small reference run; the scoring cluster is
-  // paper-scale-ish (>= 1,000 hosts) so the parallel path really engages
-  // (candidates per pod = 0.05 * 1200 = 60 >= 2 * num_threads).
-  const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
-  const SimConfig sim_config = MakeSimConfig();
-  const OptumProfiles profiles = TrainProfiles(workload, sim_config);
-  const std::vector<const AppProfile*> catalog = SchedulableApps(workload);
-  ASSERT_FALSE(catalog.empty());
-
-  constexpr int kHosts = 1200;
-  constexpr int kPrefillPerHost = 4;
-  constexpr int kStream = 400;
-  const StreamResult serial = StreamPlacements(profiles, catalog, kHosts,
-                                               kPrefillPerHost, kStream,
-                                               /*num_threads=*/0, score_mode);
-  // The stream must actually schedule for the equivalence to mean anything.
-  size_t placed = 0;
-  for (HostId h : serial.hosts) {
-    placed += h != kInvalidHostId ? 1 : 0;
-  }
-  ASSERT_GT(placed, static_cast<size_t>(kStream) / 2);
-
-  for (const size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    const StreamResult threaded = StreamPlacements(profiles, catalog, kHosts,
-                                                   kPrefillPerHost, kStream,
-                                                   num_threads, score_mode);
-    ExpectIdenticalStreams(serial, threaded, num_threads);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(BothScoreModes, ThreadCountInvarianceTest,
-                         ::testing::Values(ScoreMode::kMarginal,
-                                           ScoreMode::kPaperAbsolute));
-
 // Attaching the full observability stack — registry counters/timers,
 // predictor-cache gauges, and the per-placement decision log — must not
 // perturb a single placement or score: metric updates never feed back into
-// Eq. 11, and the decision log is rendered on the serial reduction path.
-// Baseline is metrics-OFF serial, so the test catches observer effects in
-// both the serial and the parallel scoring paths.
-TEST(ThreadCountInvarianceTest, MetricsOnBitIdenticalAcrossThreadCounts) {
+// Eq. 11, and the decision log is rendered after the reduction. (Tagging
+// candidates with cache-miss deltas reads the predictor's counters; it must
+// not move them.)
+TEST(ObserverInvarianceTest, MetricsAndDecisionLogLeavePlacementsUnchanged) {
   const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
   const SimConfig sim_config = MakeSimConfig();
   const OptumProfiles profiles = TrainProfiles(workload, sim_config);
@@ -202,9 +149,8 @@ TEST(ThreadCountInvarianceTest, MetricsOnBitIdenticalAcrossThreadCounts) {
   constexpr int kHosts = 1200;
   constexpr int kPrefillPerHost = 4;
   constexpr int kStream = 400;
-  const StreamResult bare = StreamPlacements(profiles, catalog, kHosts,
-                                             kPrefillPerHost, kStream,
-                                             /*num_threads=*/0, ScoreMode::kMarginal);
+  const StreamResult bare =
+      StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream);
   size_t placed = 0;
   for (HostId h : bare.hosts) {
     placed += h != kInvalidHostId ? 1 : 0;
@@ -212,17 +158,15 @@ TEST(ThreadCountInvarianceTest, MetricsOnBitIdenticalAcrossThreadCounts) {
   ASSERT_GT(placed, static_cast<size_t>(kStream) / 2);
 
   const std::string log_path = ::testing::TempDir() + "/concurrency_decisions.jsonl";
-  for (const size_t num_threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
+  {
     obs::MetricRegistry registry;
     obs::DecisionLog decision_log(log_path);
     ASSERT_TRUE(decision_log.ok());
-    const StreamResult observed =
-        StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream,
-                         num_threads, ScoreMode::kMarginal, &registry, &decision_log);
-    ExpectIdenticalStreams(bare, observed, num_threads);
+    const StreamResult observed = StreamPlacements(
+        profiles, catalog, kHosts, kPrefillPerHost, kStream, &registry, &decision_log);
+    ExpectIdenticalStreams(bare, observed);
     // The instrumentation must have actually been live, not silently off.
-    EXPECT_EQ(registry.counter("optum.placements")->Value(), placed)
-        << "num_threads=" << num_threads;
+    EXPECT_EQ(registry.counter("optum.placements")->Value(), placed);
     EXPECT_EQ(registry.counter("optum.rejections")->Value(), kStream - placed);
     EXPECT_EQ(registry.histogram("optum.sample_seconds")->Count(),
               static_cast<uint64_t>(kStream));
@@ -231,11 +175,12 @@ TEST(ThreadCountInvarianceTest, MetricsOnBitIdenticalAcrossThreadCounts) {
   std::remove(log_path.c_str());
 }
 
-// The span log renders on the serial reduction path from deterministic
-// fields only (ticks, ids, counts, scores — never wall clock), so the JSONL
-// byte stream must be identical for every thread count. This is the
-// load-bearing guarantee that makes span files diffable across runs.
-TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
+// The span log renders after the reduction from deterministic fields only
+// (ticks, ids, counts, scores — never wall clock), so two runs of one
+// stream must write identical bytes, and attaching it must not move a
+// placement. This is the load-bearing guarantee that makes span files
+// diffable across runs.
+TEST(ObserverInvarianceTest, SpanLogBytesReproduce) {
   const Workload workload = MakeWorkload(64, 3 * kTicksPerHour, 23);
   const SimConfig sim_config = MakeSimConfig();
   const OptumProfiles profiles = TrainProfiles(workload, sim_config);
@@ -260,131 +205,34 @@ TEST(ThreadCountInvarianceTest, SpanLogBitIdenticalAcrossThreadCounts) {
     return contents;
   };
 
+  const StreamResult bare =
+      StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream);
   std::string baseline_bytes;
-  for (const size_t num_threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
+  for (int run = 0; run < 2; ++run) {
     const std::string path = ::testing::TempDir() + "/concurrency_spans_" +
-                             std::to_string(num_threads) + ".jsonl";
+                             std::to_string(run) + ".jsonl";
+    StreamResult observed;
     {
       obs::SpanLog span_log(path);
       ASSERT_TRUE(span_log.ok());
-      StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost, kStream,
-                       num_threads, ScoreMode::kMarginal, /*registry=*/nullptr,
-                       /*decision_log=*/nullptr, &span_log);
+      observed = StreamPlacements(profiles, catalog, kHosts, kPrefillPerHost,
+                                  kStream, /*registry=*/nullptr,
+                                  /*decision_log=*/nullptr, &span_log);
       // Two spans per PlaceScored call: sampled + scored.
       EXPECT_EQ(span_log.records_written(), 2 * kStream);
     }
+    ExpectIdenticalStreams(bare, observed);
     const std::string bytes = read_file(path);
     std::remove(path.c_str());
     ASSERT_FALSE(bytes.empty());
-    if (num_threads == 0) {
+    if (run == 0) {
       baseline_bytes = bytes;
       // Sanity: the stream starts with the schema header line.
       EXPECT_EQ(bytes.rfind(obs::SpanLog::RenderHeader() + "\n", 0), 0u);
     } else {
-      ASSERT_EQ(bytes, baseline_bytes)
-          << "span stream diverged with num_threads=" << num_threads;
+      ASSERT_EQ(bytes, baseline_bytes) << "span stream diverged between runs";
     }
   }
-}
-
-// --- End-to-end simulator equivalence ----------------------------------------
-
-SimResult RunOptum(const Workload& workload, const SimConfig& sim_config,
-                   OptumProfiles profiles, size_t num_threads) {
-  OptumConfig optum_config;
-  optum_config.num_threads = num_threads;
-  OptumScheduler optum(std::move(profiles), optum_config);
-  SimConfig config = sim_config;
-  // Online ERO observation churns EroTable::version mid-run, so the test
-  // also covers cache invalidation while worker lanes are alive.
-  config.on_tick_end = [&optum](const ClusterState& cluster, Tick now) {
-    optum.ObserveColocation(cluster, now);
-  };
-  return Simulator(workload, config, optum).Run();
-}
-
-TEST(ThreadCountInvarianceTest, FullSimulationMatchesSerial) {
-  const Workload workload = MakeWorkload(200, 2 * kTicksPerHour, 31);
-  const SimConfig sim_config = MakeSimConfig();
-  const OptumProfiles profiles = TrainProfiles(workload, sim_config);
-
-  const SimResult serial = RunOptum(workload, sim_config, profiles, 0);
-  EXPECT_GT(serial.scheduled_pods, 0);
-  for (const size_t num_threads : {size_t{2}, size_t{8}}) {
-    const SimResult threaded = RunOptum(workload, sim_config, profiles, num_threads);
-    ASSERT_EQ(serial.trace.pods.size(), threaded.trace.pods.size());
-    for (size_t i = 0; i < serial.trace.pods.size(); ++i) {
-      ASSERT_EQ(serial.trace.pods[i].pod_id, threaded.trace.pods[i].pod_id);
-      ASSERT_EQ(serial.trace.pods[i].original_machine_id,
-                threaded.trace.pods[i].original_machine_id)
-          << "placement diverged at decision " << i
-          << " with num_threads=" << num_threads;
-    }
-    EXPECT_EQ(serial.scheduled_pods, threaded.scheduled_pods);
-    EXPECT_EQ(serial.never_scheduled_pods, threaded.never_scheduled_pods);
-    EXPECT_EQ(serial.oom_kills, threaded.oom_kills);
-    EXPECT_EQ(serial.preemptions, threaded.preemptions);
-    EXPECT_EQ(serial.violation_host_ticks, threaded.violation_host_ticks);
-    EXPECT_EQ(serial.nonidle_host_ticks, threaded.nonidle_host_ticks);
-    EXPECT_EQ(serial.MeanCpuUtilNonIdle(), threaded.MeanCpuUtilNonIdle());
-    EXPECT_EQ(serial.MeanMemUtilNonIdle(), threaded.MeanMemUtilNonIdle());
-  }
-}
-
-// --- ThreadPool lane contract -------------------------------------------------
-
-TEST(ParallelForLaneTest, CoversEveryIndexOnceWithValidLanes) {
-  ThreadPool pool(3);
-  ASSERT_EQ(pool.num_lanes(), 4u);
-  constexpr size_t kN = 10000;
-  std::vector<std::atomic<int>> visits(kN);
-  std::vector<std::atomic<int>> lane_hits(pool.num_lanes());
-  pool.ParallelForLane(kN, [&](size_t lane, size_t i) {
-    ASSERT_LT(lane, pool.num_lanes());
-    visits[i].fetch_add(1);
-    lane_hits[lane].fetch_add(1);
-  });
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-  // Every claimed index was charged to some valid lane. (Lane 0 — the
-  // calling thread — offers to work but may find the range already drained
-  // by workers, so no single lane is guaranteed a nonzero share.)
-  uint64_t total_hits = 0;
-  for (size_t lane = 0; lane < pool.num_lanes(); ++lane) {
-    total_hits += static_cast<uint64_t>(lane_hits[lane].load());
-  }
-  EXPECT_EQ(total_hits, kN);
-}
-
-TEST(ParallelForLaneTest, LaneLocalStateNeverShared) {
-  // Each lane owns one slot; concurrent shard bodies may only ever touch
-  // their own slot. A TSan run turns any violation into a hard error; the
-  // unsynchronized counters below would also go inconsistent under races.
-  ThreadPool pool(4);
-  std::vector<uint64_t> per_lane_counts(pool.num_lanes(), 0);
-  constexpr size_t kN = 50000;
-  pool.ParallelForLane(kN, [&](size_t lane, size_t i) {
-    (void)i;
-    ++per_lane_counts[lane];  // no atomics: correctness relies on lane privacy
-  });
-  uint64_t total = 0;
-  for (uint64_t c : per_lane_counts) {
-    total += c;
-  }
-  EXPECT_EQ(total, kN);
-}
-
-TEST(ParallelForLaneTest, EmptyAndSmallRanges) {
-  ThreadPool pool(2);
-  pool.ParallelForLane(0, [&](size_t, size_t) { FAIL() << "n == 0 must not call fn"; });
-  std::vector<std::atomic<int>> visits(2);
-  pool.ParallelForLane(2, [&](size_t lane, size_t i) {
-    ASSERT_LT(lane, 2u);  // shards = min(n, lanes) caps the lane ids
-    visits[i].fetch_add(1);
-  });
-  EXPECT_EQ(visits[0].load(), 1);
-  EXPECT_EQ(visits[1].load(), 1);
 }
 
 }  // namespace

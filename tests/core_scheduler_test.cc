@@ -235,21 +235,6 @@ TEST_F(OptumSchedulerTest, AffinityHonored) {
   EXPECT_FALSE(d.placed());
 }
 
-TEST_F(OptumSchedulerTest, MultithreadedScoringMatchesSequential) {
-  OptumConfig seq = FullScanConfig();
-  OptumConfig par = FullScanConfig();
-  par.num_threads = 2;
-  par.min_candidates = 4;
-  OptumScheduler s1(MakeProfiles(), seq);
-  OptumScheduler s2(MakeProfiles(), par);
-  cluster_.Place(MakePodSpec(10, ls_app_), &ls_app_, 1, 0);
-  cluster_.Place(MakePodSpec(11, ls_app_), &ls_app_, 1, 0);
-  cluster_.Place(MakePodSpec(12, be_app_), &be_app_, 3, 0);
-  const PlacementDecision d1 = s1.Place(MakePodSpec(1, be_app_), be_app_, cluster_);
-  const PlacementDecision d2 = s2.Place(MakePodSpec(1, be_app_), be_app_, cluster_);
-  EXPECT_EQ(d1.host, d2.host);
-}
-
 TEST_F(OptumSchedulerTest, PaperAbsoluteModeAlsoPlaces) {
   OptumConfig config = FullScanConfig();
   config.score_mode = ScoreMode::kPaperAbsolute;

@@ -2,7 +2,7 @@
 // critical-path / idle attribution rules, window cadence, and the
 // determinism contract — the profile's *count* fields (window ids, rounds,
 // shards, per-phase counts) are bit-identical across every
-// {pipeline_depth} × {shard_num_threads} × {ingest_threads} combination,
+// {pipeline_depth} × {ingest_threads} combination,
 // exactly like the placed-pod sets the pipelined serve tests pin. The ns
 // fields are wall-clock-derived and excluded. Labeled `observability` so
 // the suite also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
@@ -321,15 +321,14 @@ struct ProfiledRun {
 // Mirrors serve_pipeline_test's mild-overload regime, with the profiler
 // attached through the Sinks bundle. A small window keeps several windows
 // in a 10-round run.
-ProfiledRun RunProfiled(size_t pipeline_depth, size_t shard_threads,
-                        size_t ingest_threads, ProfileLog* log = nullptr) {
+ProfiledRun RunProfiled(size_t pipeline_depth, size_t ingest_threads,
+                        ProfileLog* log = nullptr) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 120.0;
   config.arrival.round_seconds = 1.0;
   config.distributed.num_schedulers = 2;
   config.distributed.max_attempts_per_pod = 8;
-  config.distributed.shard_num_threads = shard_threads;
   config.queue_capacity_per_shard = 1024;
   config.max_schedule_per_round = 48;
   config.max_requeues = 8;
@@ -361,28 +360,24 @@ ProfiledRun RunProfiled(size_t pipeline_depth, size_t shard_threads,
 }
 
 // The tentpole invariant: profile count fields are bit-identical across the
-// full pipeline/thread/ingest matrix, like every other export.
+// full pipeline/ingest matrix, like every other export.
 TEST(ProfilerServeTest, CountsBitIdenticalAcrossPipelineMatrix) {
   const ProfiledRun base = RunProfiled(/*pipeline_depth=*/1,
-                                       /*shard_threads=*/0,
                                        /*ingest_threads=*/0);
   ASSERT_GT(base.rounds, 0);
   ASSERT_GT(base.windows, 0);
   ASSERT_FALSE(base.counts.empty());
   ASSERT_FALSE(base.placed.empty());
   for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (const size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
-      for (const size_t ingest : {size_t{0}, size_t{1}}) {
-        if (depth == 1 && threads == 0 && ingest == 0) {
-          continue;
-        }
-        const ProfiledRun run = RunProfiled(depth, threads, ingest);
-        SCOPED_TRACE("depth=" + std::to_string(depth) +
-                     " threads=" + std::to_string(threads) +
-                     " ingest=" + std::to_string(ingest));
-        EXPECT_EQ(run.placed, base.placed);
-        EXPECT_EQ(run.counts, base.counts);
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      if (depth == 1 && ingest == 0) {
+        continue;
       }
+      const ProfiledRun run = RunProfiled(depth, ingest);
+      SCOPED_TRACE("depth=" + std::to_string(depth) +
+                   " ingest=" + std::to_string(ingest));
+      EXPECT_EQ(run.placed, base.placed);
+      EXPECT_EQ(run.counts, base.counts);
     }
   }
 }
@@ -393,7 +388,6 @@ TEST(ProfilerServeTest, ProfileFileParsesAndWindowsHaveCriticalPath) {
     ProfileLog log(path);
     ASSERT_TRUE(log.ok());
     const ProfiledRun run = RunProfiled(/*pipeline_depth=*/2,
-                                        /*shard_threads=*/2,
                                         /*ingest_threads=*/1, &log);
     ASSERT_GT(run.windows, 0);
   }

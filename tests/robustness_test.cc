@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/optum.h"
 
@@ -25,7 +26,12 @@ class TraceIoRobustnessTest : public ::testing::Test {
             (std::string("optum_robustness_") + info->name() + "_" +
              std::to_string(static_cast<long>(::getpid()))))
                .string();
-    // Write a valid bundle first.
+    WriteValidBundle();
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  // (Re)writes the valid one-node, one-pod bundle every test starts from.
+  void WriteValidBundle() {
     TraceBundle bundle;
     bundle.nodes.push_back(NodeMeta{0, kUnitResources});
     PodMeta pod;
@@ -38,7 +44,6 @@ class TraceIoRobustnessTest : public ::testing::Test {
     bundle.node_usage.push_back(NodeUsageRecord{0, 0, 0.5, 0.4, 0, 0});
     ASSERT_TRUE(WriteTraceBundle(bundle, dir_));
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   void Corrupt(const std::string& file, const std::string& line) {
     std::ofstream out(dir_ + "/" + file, std::ios::app);
@@ -93,6 +98,78 @@ TEST_F(TraceIoRobustnessTest, RowLongerThanOldLineBufferLoadsAsOneRow) {
   EXPECT_DOUBLE_EQ(pod.limit.mem, 0.25);
   EXPECT_EQ(pod.submit_tick, 42);
   EXPECT_EQ(pod.original_machine_id, 0);
+}
+
+// Valid rows the hostile-field tests below corrupt one field at a time.
+const std::vector<std::string> kPodRow = {"7",   "3",    "0",  "0.25", "0.125",
+                                          "0.5", "0.25", "42", "0"};
+const std::vector<std::string> kLifecycleRow = {"7", "3", "1",   "40",  "41", "90",
+                                                "0", "15", "40.0", "48.0", "0.2"};
+
+std::string JoinCsv(const std::vector<std::string>& fields) {
+  std::string line;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    line += (i > 0 ? "," : "") + fields[i];
+  }
+  return line;
+}
+
+// strtod accepts nan, inf and huge exponents, and converting such a value
+// to an integer type is undefined behaviour. Every integer field (ids,
+// ticks, host, slo) must make the load fail instead.
+TEST_F(TraceIoRobustnessTest, NonFiniteOrOutOfRangeIntegerFieldsRejected) {
+  struct Case {
+    const char* file;
+    const std::vector<std::string>* row;
+    std::vector<size_t> integer_fields;
+  };
+  const Case cases[] = {
+      {"pods.csv", &kPodRow, {0, 1, 2, 7, 8}},
+      {"lifecycles.csv", &kLifecycleRow, {0, 1, 2, 3, 4, 5, 6}},
+  };
+  for (const Case& c : cases) {
+    // Control: the unmodified row loads, so a failure below is the field's.
+    WriteValidBundle();
+    Corrupt(c.file, JoinCsv(*c.row));
+    TraceBundle loaded;
+    ASSERT_TRUE(ReadTraceBundle(dir_, &loaded)) << c.file;
+    for (const size_t field : c.integer_fields) {
+      for (const char* bad : {"nan", "inf", "1e300", "-1e300"}) {
+        std::vector<std::string> row = *c.row;
+        row[field] = bad;
+        WriteValidBundle();
+        Corrupt(c.file, JoinCsv(row));
+        EXPECT_FALSE(ReadTraceBundle(dir_, &loaded))
+            << c.file << " field " << field << " = " << bad;
+      }
+    }
+  }
+}
+
+TEST_F(TraceIoRobustnessTest, SloOutsideEnumRejected) {
+  for (const char* file : {"pods.csv", "lifecycles.csv"}) {
+    std::vector<std::string> row =
+        std::string(file) == "pods.csv" ? kPodRow : kLifecycleRow;
+    row[2] = "9";  // SloClass has six enumerators, 0..5
+    WriteValidBundle();
+    Corrupt(file, JoinCsv(row));
+    TraceBundle loaded;
+    EXPECT_FALSE(ReadTraceBundle(dir_, &loaded)) << file;
+  }
+}
+
+TEST_F(TraceIoRobustnessTest, IntegerFieldRangeIsExactAtTheTypeBoundary) {
+  // HostId is int32: 2^31 - 1 converts, 2^31 does not.
+  std::vector<std::string> row = kPodRow;
+  row[8] = "2147483647";
+  Corrupt("pods.csv", JoinCsv(row));
+  TraceBundle loaded;
+  ASSERT_TRUE(ReadTraceBundle(dir_, &loaded));
+  EXPECT_EQ(loaded.pods.back().original_machine_id, 2147483647);
+  row[8] = "2147483648";
+  WriteValidBundle();
+  Corrupt("pods.csv", JoinCsv(row));
+  EXPECT_FALSE(ReadTraceBundle(dir_, &loaded));
 }
 
 TEST_F(TraceIoRobustnessTest, BlankLinesTolerated) {

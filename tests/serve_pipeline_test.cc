@@ -3,8 +3,8 @@
 // multi-threaded ingest hand-off — must be a pure wall-clock optimization.
 // These tests pin the contract: optum.latency.v1 rows, placed-pod sets,
 // admission accounting, serve counters, and SLO-violation accounting are
-// bit-identical across every {pipeline_depth} × {shard_num_threads} ×
-// {ingest_threads} combination; the admission queue survives genuinely
+// bit-identical across every {pipeline_depth} × {ingest_threads}
+// combination; the admission queue survives genuinely
 // concurrent offers; and a speculative score finalized after cluster
 // mutation equals a fresh PlaceScored. Labeled `concurrency` so the suite
 // also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
@@ -77,15 +77,13 @@ struct RunResult {
 // One service run in a mild-overload regime with departures, so requeues,
 // waits, epoch churn, and SLO violations all occur — the paths speculation
 // has to get right.
-RunResult RunPipelined(size_t pipeline_depth, size_t shard_threads,
-                       size_t ingest_threads) {
+RunResult RunPipelined(size_t pipeline_depth, size_t ingest_threads) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 120.0;
   config.arrival.round_seconds = 1.0;
   config.distributed.num_schedulers = 2;
   config.distributed.max_attempts_per_pod = 8;
-  config.distributed.shard_num_threads = shard_threads;
   config.queue_capacity_per_shard = 1024;
   config.max_schedule_per_round = 48;  // mild overload: nonzero waits
   config.max_requeues = 8;
@@ -120,11 +118,10 @@ RunResult RunPipelined(size_t pipeline_depth, size_t shard_threads,
   return out;
 }
 
-// The tentpole invariant: the serial depth-1 single-threaded inline-ingest
-// loop and every pipelined/threaded variant export the same bytes.
+// The tentpole invariant: the depth-1 inline-ingest loop and every
+// pipelined / producer-ingest variant export the same bytes.
 TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
   const RunResult base = RunPipelined(/*pipeline_depth=*/1,
-                                      /*shard_threads=*/0,
                                       /*ingest_threads=*/0);
   EXPECT_GT(base.counters.placed, 0);
   EXPECT_GT(base.counters.departed, 0);
@@ -132,18 +129,14 @@ TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
   EXPECT_EQ(base.memo_hits, 0u);  // depth 1 never touches the memo
 
   uint64_t pipelined_memo_hits = 0;
-  constexpr size_t kThreads[] = {0, 1, 2, 8};
   for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (size_t t = 0; t < 4; ++t) {
-      const size_t threads = kThreads[t];
-      const size_t ingest = t % 2;  // alternate inline / producer ingest
-      if (depth == 1 && threads == 0 && ingest == 0) {
+    for (const size_t ingest : {size_t{0}, size_t{1}}) {
+      if (depth == 1 && ingest == 0) {
         continue;  // the baseline itself
       }
-      const RunResult r = RunPipelined(depth, threads, ingest);
-      const std::string label = "depth=" + std::to_string(depth) +
-                                " threads=" + std::to_string(threads) +
-                                " ingest=" + std::to_string(ingest);
+      const RunResult r = RunPipelined(depth, ingest);
+      const std::string label =
+          "depth=" + std::to_string(depth) + " ingest=" + std::to_string(ingest);
       EXPECT_EQ(r.row, base.row) << label;
       EXPECT_EQ(r.placed, base.placed) << label;
       EXPECT_EQ(r.slo_json, base.slo_json) << label;
@@ -174,7 +167,7 @@ TEST(PipelinedServeTest, RowsPlacedSetsAndSloBitIdenticalAcrossMatrix) {
 // cache-miss tagging would be skewed by the memo) but must stay
 // bit-identical through the coordinator's PlaceScored fallback.
 TEST(PipelinedServeTest, DecisionLogShardFallsBackBitIdentically) {
-  const RunResult base = RunPipelined(1, 0, 0);
+  const RunResult base = RunPipelined(1, 0);
 
   const ServeWorld& world = World();
   serve::ServeConfig config;

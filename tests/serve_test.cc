@@ -2,8 +2,8 @@
 // DESIGN.md §12): deterministic open-loop replay, bounded-admission
 // backpressure accounting, shutdown-drains-the-queue semantics, and the two
 // invariances the serve layer exports rows under — latency rows bit-identical
-// across DistributedConfig::shard_num_threads, and placed-pod sets stable
-// across scheduler shard counts. Labeled `concurrency` so the whole suite
+// across ServeConfig::pipeline_depth under overload, and placed-pod sets
+// stable across scheduler shard counts. Labeled `concurrency` so the whole suite
 // also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
 #include <gtest/gtest.h>
 
@@ -284,16 +284,16 @@ TEST(PlacementServiceTest, ShutdownDrainsQueueAndBalancesAccounting) {
   }
 }
 
-TEST(PlacementServiceTest, LatencyRowsBitIdenticalAcrossShardThreadCounts) {
+TEST(PlacementServiceTest, LatencyRowsBitIdenticalAcrossPipelineDepths) {
   const ServeWorld& world = World();
   std::string reference_row;
   std::vector<PodId> reference_placed;
   bool first = true;
-  for (const size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
+  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
     serve::ServeConfig config = BaseConfig();
     config.arrival.offered_pods_per_sec = 120.0;
     config.max_schedule_per_round = 48;  // mild overload: nonzero waits
-    config.distributed.shard_num_threads = threads;
+    config.pipeline_depth = depth;
     ClusterState cluster(300, kUnitResources, /*history_window=*/64);
     serve::PlacementService service(world.workload, world.profiles, &cluster,
                                     config);
@@ -307,8 +307,8 @@ TEST(PlacementServiceTest, LatencyRowsBitIdenticalAcrossShardThreadCounts) {
       first = false;
       EXPECT_GT(service.counters().placed, 0);
     } else {
-      EXPECT_EQ(row, reference_row) << "threads=" << threads;
-      EXPECT_EQ(placed, reference_placed) << "threads=" << threads;
+      EXPECT_EQ(row, reference_row) << "depth=" << depth;
+      EXPECT_EQ(placed, reference_placed) << "depth=" << depth;
     }
   }
 }

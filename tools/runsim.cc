@@ -233,8 +233,7 @@ int main(int argc, char** argv) {
                                                double cpu_util,
                                                double mem_util) {
         return opt->interference_predictor().ResidentInterference(
-            host, cpu_util, mem_util, /*weight_ls=*/1.0, /*weight_be=*/0.0,
-            /*lane=*/0);
+            host, cpu_util, mem_util, /*weight_ls=*/1.0, /*weight_be=*/0.0);
       };
     }
   }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Builds the sanitizer presets and runs the `concurrency`- and
-# `observability`-labeled ctest subsets under each — the
-# thread-count-invariance, lane-sharded cache, host-baseline stress, and
-# metrics-registry tests that guard the parallel scoring path and the
-# lane-sharded metric shards.
+# `observability`-labeled ctest subsets under each — the shard-parallel
+# serve and coordinator tests, parallel simulator tick, host-baseline
+# stress, metrics-registry lane shards, and the hostile-input robustness
+# cases (UB there is what ASan+UBSan exists to catch).
 #
 #   tools/sanitize_runner.sh [tsan|asan-ubsan|all]   (default: all)
 #
@@ -16,9 +16,9 @@ cd "$(dirname "$0")/.."
 CONCURRENCY_TARGETS=(concurrency_test cache_property_test sample_hosts_test
                      perf_equivalence_test sim_property_test obs_test
                      span_timeseries_test compiled_forest_test
-                     forest_quantized_test serve_test serve_pipeline_test
+                     serve_test serve_pipeline_test
                      latency_percentile_test pressure_slo_test profiler_test
-                     core_system_test tracing_coordinator_test)
+                     core_system_test tracing_coordinator_test robustness_test)
 
 # Guard: every test registered in tests/CMakeLists.txt with a concurrency or
 # observability label must be in CONCURRENCY_TARGETS, or the sanitizer pass
