@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace optum {
@@ -36,6 +37,7 @@ bool FlagParser::Parse(int argc, const char* const* argv) {
 }
 
 std::vector<std::string> FlagParser::GetStringList(const std::string& name) const {
+  read_.insert(name);
   std::vector<std::string> values;
   for (const auto& [flag, value] : ordered_) {
     if (flag != name) {
@@ -57,48 +59,79 @@ std::vector<std::string> FlagParser::GetStringList(const std::string& name) cons
   return values;
 }
 
-bool FlagParser::Has(const std::string& name) const {
-  return flags_.find(name) != flags_.end();
+bool FlagParser::Has(const std::string& name) const { return Find(name) != nullptr; }
+
+const std::string* FlagParser::Find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+void FlagParser::NoteMalformed(const std::string& name, const char* type,
+                               const std::string& value) const {
+  if (malformed_.empty()) {
+    malformed_ = "--" + name + ": malformed " + type + " '" + value + "'";
+  }
 }
 
 std::string FlagParser::GetString(const std::string& name, const std::string& def) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? def : *value;
 }
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t def) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
+  const std::string* value = Find(name);
+  if (value == nullptr) {
     return def;
   }
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return end != it->second.c_str() && *end == '\0' ? static_cast<int64_t>(v) : def;
+  errno = 0;
+  const long long v = std::strtoll(value->c_str(), &end, 10);
+  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+    NoteMalformed(name, "integer", *value);
+    return def;
+  }
+  return static_cast<int64_t>(v);
 }
 
 double FlagParser::GetDouble(const std::string& name, double def) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
+  const std::string* value = Find(name);
+  if (value == nullptr) {
     return def;
   }
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return end != it->second.c_str() && *end == '\0' ? v : def;
+  errno = 0;
+  const double v = std::strtod(value->c_str(), &end);
+  if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+    NoteMalformed(name, "number", *value);
+    return def;
+  }
+  return v;
 }
 
 bool FlagParser::GetBool(const std::string& name, bool def) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) {
+  const std::string* value = Find(name);
+  if (value == nullptr) {
     return def;
   }
-  const std::string& v = it->second;
+  const std::string& v = *value;
   if (v == "true" || v == "1" || v == "yes") {
     return true;
   }
   if (v == "false" || v == "0" || v == "no") {
     return false;
   }
+  NoteMalformed(name, "boolean", v);
   return def;
+}
+
+std::string FlagParser::Validate() const {
+  for (const auto& entry : ordered_) {
+    if (read_.count(entry.first) == 0) {
+      return "unknown flag --" + entry.first;
+    }
+  }
+  return malformed_;
 }
 
 }  // namespace optum

@@ -1,10 +1,14 @@
 // Minimal command-line flag parsing for the CLI tools: --name=value and
-// --name value forms, with typed accessors and an auto-generated usage
-// string. Deliberately tiny — no registry globals, no abbreviations.
+// --name value forms, with typed accessors. Deliberately tiny — no registry
+// globals, no abbreviations, no per-tool flag list: the parser records
+// which names the tool read, and the tool's closing Validate() call turns
+// any flag it never read, or any value that did not parse, into an error.
 #ifndef OPTUM_SRC_COMMON_FLAGS_H_
 #define OPTUM_SRC_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,9 +23,11 @@ class FlagParser {
   // is treated as boolean true).
   bool Parse(int argc, const char* const* argv);
 
+  // Every accessor below (and Has) marks `name` as read.
   bool Has(const std::string& name) const;
 
-  // Typed accessors with defaults; malformed numbers return the default.
+  // Typed accessors with defaults. A value that does not parse as the type
+  // (or overflows it) returns the default and is reported by Validate().
   std::string GetString(const std::string& name, const std::string& def) const;
   int64_t GetInt(const std::string& name, int64_t def) const;
   double GetDouble(const std::string& name, double def) const;
@@ -35,14 +41,26 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // All parsed flags, for diagnostics.
-  const std::map<std::string, std::string>& flags() const { return flags_; }
+  // The tool's closing check: call once, after reading every flag it
+  // understands and before doing any work. Returns "" when every flag on
+  // the command line was read and every numeric or boolean value parsed;
+  // otherwise a one-line message naming the first offending flag, such as
+  // "unknown flag --threads" or "--hosts: malformed integer 'abc'".
+  std::string Validate() const;
 
  private:
+  // Marks `name` read; the value given for it, or nullptr.
+  const std::string* Find(const std::string& name) const;
+  void NoteMalformed(const std::string& name, const char* type,
+                     const std::string& value) const;
+
   std::map<std::string, std::string> flags_;
   // (name, value) pairs in argv order, for repeatable flags.
   std::vector<std::pair<std::string, std::string>> ordered_;
   std::vector<std::string> positional_;
+  // Names the tool asked about, and the first value that failed to parse.
+  mutable std::set<std::string> read_;
+  mutable std::string malformed_;
 };
 
 }  // namespace optum

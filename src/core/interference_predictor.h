@@ -3,12 +3,12 @@
 // new pod is placed there — the profiled PSI for LS pods, the profiled
 // normalized completion time for BE pods. Predictions depend only on the
 // pod's application and the host's predicted utilization, so they are
-// cached per (app, utilization bucket).
+// tabulated per (app, utilization bucket).
 //
-// Every cached value is a pure function of its cache key: the model is
+// Every tabulated value is a pure function of its cell: the model is
 // evaluated at the bucket's canonical point, not at the raw utilization
-// that happened to trigger the miss. That makes predictions independent of
-// cache history (warm vs cold, cleared vs not), which the scheduler's
+// that happened to fill the cell. That makes predictions independent of
+// table history (warm vs cold, cleared vs not), which the scheduler's
 // evaluation memo and speculative scoring rely on.
 //
 // Not internally synchronized: one predictor serves one scheduler, and a
@@ -17,10 +17,8 @@
 #define OPTUM_SRC_CORE_INTERFERENCE_PREDICTOR_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
-#include "src/core/prediction_cache.h"
 #include "src/core/profiles.h"
 #include "src/obs/metrics.h"
 #include "src/sim/cluster.h"
@@ -29,15 +27,10 @@ namespace optum::core {
 
 class InterferencePredictor {
  public:
-  // `profiles` must outlive the predictor.
-  //
-  // use_host_app_counts selects how the per-host application histogram is
-  // obtained: true reads Host::app_counts (maintained incrementally by
-  // ClusterState); false rebuilds it from Host::pods on every call — the
-  // pre-incremental behaviour, kept as the benchmark baseline and for
-  // equivalence testing against the incremental structures.
-  explicit InterferencePredictor(const OptumProfiles* profiles,
-                                 bool use_host_app_counts = true);
+  // `profiles` must outlive the predictor. Per-host application
+  // histograms are read from Host::app_counts (maintained incrementally by
+  // ClusterState).
+  explicit InterferencePredictor(const OptumProfiles* profiles);
 
   // RI for one pod of application `app` on a host whose predicted CPU/mem
   // utilizations (POC/Cap, POM/Cap) are given. Returns 0 when the app has
@@ -56,11 +49,10 @@ class InterferencePredictor {
   // Sum of RI over the pods already resident on `host` — no incoming pod —
   // at the host's *current* utilization, snapped to a coarse 8-bucket grid
   // (the signal rides an EWMA; candidate-scoring resolution would buy
-  // nothing but cache misses). The pressure sensor (DESIGN.md §13) feeds
-  // this into the per-host pressure signal; a per-host memo keyed on
-  // (change_epoch, coarse buckets, weights) makes repeated sweeps O(1) per
-  // unchanged host, and every computed value comes from the key-pure
-  // Predict cache, so results are independent of cache history.
+  // nothing but table fills). The pressure sensor (DESIGN.md §13) feeds
+  // this into the per-host pressure signal. Each per-app term is read from
+  // the Predict table at the snapped point, so the sum equals
+  // sum over host.pods of weight * Predict(app, coarse cell centre).
   double ResidentInterference(const Host& host, double host_cpu_util,
                               double host_mem_util, double weight_ls,
                               double weight_be) const;
@@ -81,15 +73,17 @@ class InterferencePredictor {
                               double cpu_util_after, double mem_util_after,
                               double weight_ls, double weight_be) const;
 
-  // Drops all cached predictions and re-syncs the AppId-indexed model
-  // table; call after the profiles object is replaced wholesale.
+  // Drops every tabulated value and rebuilds the tables over the current
+  // usable apps; call after the profiles object is replaced wholesale.
   void ClearCache();
-  size_t cache_size() const { return cache_.size(); }
+  // Filled cells of the Predict table (a scan; for tests and diagnostics).
+  size_t cache_size() const;
 
-  // Hit/miss tallies of the two caches, maintained unconditionally (one
-  // non-atomic increment on an already-hot line each). They survive
-  // ClearCache() — they count work over the predictor's lifetime, not
-  // cache contents.
+  // Hit/miss tallies of the two tables, maintained unconditionally (one
+  // non-atomic increment on an already-hot line each). A miss is a cell's
+  // first touch since construction or the last ClearCache(); the tallies
+  // themselves survive ClearCache() — they count work over the predictor's
+  // lifetime, not table contents.
   struct CacheStats {
     uint64_t predict_hits = 0, predict_misses = 0;
     uint64_t slope_hits = 0, slope_misses = 0;
@@ -103,7 +97,7 @@ class InterferencePredictor {
   // to tag decision-log candidates with their cache-miss cost.
   uint64_t misses() const { return stats_.misses(); }
 
-  // Attaches the forest-evaluation timer: slope-cache misses (two raw-model
+  // Attaches the forest-evaluation timer: slope-table misses (two raw-model
   // evaluations each) record their latency into `sink` at registry lane
   // `lane`; nullptr (the default) disables timing entirely.
   void set_forest_timer(obs::Histogram* sink, size_t lane = 0) {
@@ -112,21 +106,26 @@ class InterferencePredictor {
   }
 
  private:
-  // Side of the Predict and slope caches' utilization grids: kCacheBuckets
+  // Side of the Predict and slope tables' utilization grids: kCacheBuckets
   // buckets over [0, 2] per axis. The slope is flat between tree splits, so
   // a finer slope grid would only multiply cold misses, and each miss costs
   // two forest evaluations.
   static constexpr size_t kCacheBuckets = 64;
+  static constexpr size_t kCellsPerApp = kCacheBuckets * kCacheBuckets;
   // Fine grid (8x the coarse one) the slope endpoints are evaluated on, so
   // the finite difference sees real variation.
   static constexpr size_t kFineBuckets = 8 * kCacheBuckets;
+  // Side of the coarse utilization grid ResidentInterference snaps its
+  // inputs to (see the .cc): kResidentBuckets^2 cells over [0, 2]^2.
+  static constexpr size_t kResidentBuckets = 8;
+  static constexpr uint32_t kNoSlot = ~0u;
 
   // Bucket index of a utilization value on a `buckets`-wide grid over [0, 2]
-  // (the packing the cache keys use).
+  // (the packing the table cells use).
   static uint64_t UtilBucket(double v, size_t buckets);
   // Canonical evaluation point of a bucket: its center, clamped to [0, 2].
-  // All cache misses for the bucket evaluate the model here, making the
-  // stored value key-pure.
+  // Every fill of a cell evaluates the model here, making the stored value
+  // a pure function of the cell.
   static double BucketPoint(uint64_t bucket, size_t buckets);
 
   double PredictImpl(const AppModel& model, double host_cpu_util,
@@ -136,60 +135,32 @@ class InterferencePredictor {
   // (cpu_hi, mem), evaluated with one two-row PredictBatch.
   void PredictRawSpan(const AppModel& model, double cpu_lo, double cpu_hi,
                       double mem_util, double* out_lo, double* out_hi) const;
-  // Flat-index lookup; AppIds are dense, so this replaces a hash find on
-  // the scoring hot path. Null when the app has no profile.
-  const AppModel* FindModel(AppId app) const {
-    return app >= 0 && static_cast<size_t>(app) < by_app_.size()
-               ? by_app_[static_cast<size_t>(app)]
-               : nullptr;
+  // Table slot of `app`: dense over the apps with a usable model, kNoSlot
+  // for every other id (no profile, no model, negative, past the catalog).
+  uint32_t SlotOf(AppId app) const {
+    return app >= 0 && static_cast<size_t>(app) < slot_by_app_.size()
+               ? slot_by_app_[static_cast<size_t>(app)]
+               : kNoSlot;
   }
-  void RebuildAppIndex();
-
-  // Per-host memo for ResidentInterference (the DESIGN.md §13 pressure
-  // sweep). The weighted sum is a pure function of the host's app_counts
-  // histogram — versioned by Host::change_epoch — and the coarse
-  // utilization buckets Predict quantizes its inputs to, so a sweep only
-  // pays the per-app cache walk for hosts that changed since the last one.
-  // Callers are the serial pressure paths (simulator tick, placement-service
-  // round, bench mirror), matching the serial-emission contract of the
-  // monitor this feeds.
-  struct ResidentMemo {
-    uint64_t epoch = std::numeric_limits<uint64_t>::max();  // never a real epoch
-    uint64_t cpu_bucket = 0;
-    uint64_t mem_bucket = 0;
-    double weight_ls = 0.0;
-    double weight_be = 0.0;
-    double value = 0.0;
-  };
-
-  // Side of the coarse utilization grid ResidentInterference snaps its
-  // inputs to (see the .cc): kResidentBuckets^2 cells over [0, 2]^2.
-  static constexpr size_t kResidentBuckets = 8;
+  static size_t Cell(uint32_t slot, uint64_t cpu_bucket, uint64_t mem_bucket) {
+    return static_cast<size_t>(slot) * kCellsPerApp +
+           static_cast<size_t>(cpu_bucket * kCacheBuckets + mem_bucket);
+  }
+  double SlopeAt(uint32_t slot, uint64_t mid_bucket, uint64_t mem_bucket) const;
 
   const OptumProfiles* profiles_;
-  bool use_host_app_counts_;
-  // Pointers into profiles_->apps values; valid until the map is mutated
-  // (profile replacement calls ClearCache, which rebuilds the index).
-  std::vector<const AppModel*> by_app_;
-  // Discretized Predict values, keyed on (app, cpu bucket, mem bucket).
-  mutable PredictionCache cache_;
-  // Finite-difference slopes for MarginalInterference, keyed on (app,
-  // coarse CPU-midpoint and memory buckets); shared by both histogram paths
-  // so the incremental and rebuild modes stay numerically identical.
-  mutable PredictionCache slope_cache_;
+  // AppId -> table slot, and slot -> model (pointers into profiles_->apps
+  // values; valid until the map is mutated, and profile replacement calls
+  // ClearCache, which rebuilds both).
+  std::vector<uint32_t> slot_by_app_;
+  std::vector<const AppModel*> models_;
+  // Lazily filled tables, [slot][cpu bucket][mem bucket]: discretized
+  // Predict values, and finite-difference slopes for MarginalInterference
+  // (cpu axis = bucket of the before/after CPU midpoint). Unfilled cells
+  // hold kUnfilled, a NaN payload no model evaluation produces.
+  mutable std::vector<double> predict_table_;
+  mutable std::vector<double> slope_table_;
   mutable CacheStats stats_;
-  // Indexed by host id, grown on demand; dropped by ClearCache() with the
-  // caches (model replacement invalidates every stored sum).
-  mutable std::vector<ResidentMemo> resident_memo_;
-  // Flat per-app cache over the coarse resident grid: cell
-  // [app * 64 + cpu_bucket * 8 + mem_bucket] holds exactly what
-  // Predict(app, cell center) returns (filled through Predict on first
-  // touch, so values stay bit-identical to the Predict-cache path). Turns
-  // the per-app walk for a changed host into direct loads instead of hash
-  // probes. Serial pressure callers only; sized by RebuildAppIndex, cleared
-  // with the caches.
-  mutable std::vector<double> resident_grid_;
-  mutable std::vector<uint8_t> resident_grid_valid_;
   // Nullable observability sink (see set_forest_timer).
   obs::Histogram* forest_timer_ = nullptr;
   size_t forest_timer_lane_ = 0;

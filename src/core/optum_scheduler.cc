@@ -15,11 +15,8 @@ OptumScheduler::OptumScheduler(OptumProfiles profiles, OptumConfig config)
                        config.use_triple_ero
                            ? ResourceUsagePredictor::Grouping::kTripleWise
                            : ResourceUsagePredictor::Grouping::kPairwise),
-      interference_predictor_(profiles_.get(),
-                              /*use_host_app_counts=*/config.use_incremental_cache),
-      rng_(config.seed) {
-  usage_predictor_.set_cache_enabled(config_.use_incremental_cache);
-}
+      interference_predictor_(profiles_.get()),
+      rng_(config.seed) {}
 
 OptumScheduler::~OptumScheduler() = default;
 
@@ -281,9 +278,9 @@ void OptumScheduler::EnsureMemo(size_t num_hosts) {
   // the population of applications scoring each host (the live key set is
   // hosts × apps, and a single hot collision pair thrashes both keys for
   // as long as they stay hot); clamped so tiny clusters still get a useful
-  // table and huge ones stay bounded (512Ki entries ≈ 48 MiB — the probe
-  // loop prefetches ahead, so capacity buys hit rate without paying the
-  // extra LLC latency on the critical path).
+  // table and huge ones stay bounded (512Ki 64-byte entries = 32 MiB per
+  // scheduler — the probe loop prefetches ahead, so capacity buys hit rate
+  // without paying the extra LLC latency on the critical path).
   const size_t want = std::clamp<size_t>(num_hosts * 64, size_t{1} << 12,
                                          size_t{1} << 19);
   size_t slots = 1;

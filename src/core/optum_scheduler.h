@@ -49,14 +49,6 @@ struct OptumConfig {
   double sample_fraction = 0.05;
   size_t min_candidates = 32;
 
-  // Incremental hot-path structures: the per-host baseline cache for usage
-  // prediction (bit-identical to the uncached rescan; see
-  // ResourceUsagePredictor) and the incrementally maintained Host::app_counts
-  // histogram for interference prediction. Disable only for equivalence
-  // testing and benchmark baselines (false = rescan/rebuild per candidate,
-  // the pre-incremental behaviour).
-  bool use_incremental_cache = true;
-
   // Per-host memory utilization cap (paper §5.1: 0.8).
   double mem_util_limit = 0.8;
 
@@ -104,7 +96,7 @@ class OptumScheduler : public PlacementPolicy {
     double cpu_util = 0.0;
     double mem_util = 0.0;
     double interference = 0.0;
-    // Predict + slope cache misses charged while scoring this candidate;
+    // Predict + slope table misses charged while scoring this candidate;
     // tracked only when a decision log is attached (0 otherwise).
     uint64_t cache_misses = 0;
   };
@@ -177,7 +169,7 @@ class OptumScheduler : public PlacementPolicy {
   OptumProfiles& mutable_profiles() { return *profiles_; }
 
   // Swaps in freshly trained profiles (background re-profiling, Fig. 17).
-  // Prediction caches are invalidated; in-flight pointers stay valid
+  // Prediction tables are rebuilt; in-flight pointers stay valid
   // because the profiles object itself is reused.
   void ReplaceProfiles(OptumProfiles profiles);
 
@@ -188,7 +180,7 @@ class OptumScheduler : public PlacementPolicy {
   //
   //   * sinks.metrics — creates the scheduler's metrics under `prefix`:
   //       <prefix>.sample_seconds / .score_seconds   phase histograms
-  //       <prefix>.forest_eval_seconds               slope-cache-miss latency
+  //       <prefix>.forest_eval_seconds               slope-table-miss latency
   //       <prefix>.placements / .rejections          counters
   //       <prefix>.pred_cache_* / .slope_cache_* / .forest_evals
   //           gauges refreshed by a registered collector from the

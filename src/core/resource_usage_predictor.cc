@@ -119,7 +119,7 @@ void ResourceUsagePredictor::RecomputeBaseline(const Host& host,
 
 Resources ResourceUsagePredictor::PredictHost(const Host& host,
                                               const PodSpec* incoming) const {
-  if (!cache_enabled_ || host.id < 0) {
+  if (host.id < 0) {
     return PredictHostRescan(host, incoming);
   }
   const size_t idx = static_cast<size_t>(host.id);

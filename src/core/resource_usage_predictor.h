@@ -39,28 +39,23 @@ class ResourceUsagePredictor {
 
   // Predicted (CPU, mem) usage of `host` if `incoming` (optional) were
   // appended to its pod list. Pass nullptr to predict the host as-is.
-  // Amortized O(1) per call when the cache is enabled (default); callers
-  // that score candidates in parallel must ReserveHosts() first so no slot
-  // allocation happens inside worker threads. Concurrent calls on
-  // *distinct* hosts are safe; the same host must not be predicted from two
-  // threads at once unless its cache entry is already warm.
+  // Amortized O(1) per call; hosts with a negative id (detached Host
+  // objects) take the PredictHostRescan path. Once ReserveHosts() covers
+  // every host id, PredictHost allocates nothing, and calls on *distinct*
+  // hosts touch distinct slots.
   Resources PredictHost(const Host& host, const PodSpec* incoming) const;
 
   // The uncached reference path: rebuilds the full Eq. 8 pairing. Exposed
-  // so equivalence tests (and the hotpath bench baseline) can compare.
+  // so equivalence tests can compare.
   Resources PredictHostRescan(const Host& host, const PodSpec* incoming) const;
 
-  // Pre-sizes the per-host cache so PredictHost never reallocates; call
-  // before scoring candidates from multiple threads.
+  // Pre-sizes the per-host cache so PredictHost never reallocates; the
+  // scheduler calls it once per pod instead of growing slot by slot.
   void ReserveHosts(size_t num_hosts) const;
 
   // Drops every cached baseline (profile swap: ERO table and memory
   // profiles may both have changed wholesale).
   void InvalidateAll();
-
-  // Disables/enables the baseline cache; disabled mode always rescans.
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  bool cache_enabled() const { return cache_enabled_; }
 
   Grouping grouping() const { return grouping_; }
 
@@ -92,7 +87,6 @@ class ResourceUsagePredictor {
 
   const OptumProfiles* profiles_;
   Grouping grouping_;
-  bool cache_enabled_ = true;
   uint64_t generation_ = 0;
   mutable std::vector<HostBaseline> cache_;
 };

@@ -3,7 +3,7 @@
 // rows with the node arrays hot in cache. The exact (double) layout is
 // bit-identical to the pointer-tree forest (see DESIGN.md §10), so swapping
 // it onto the scoring hot path cannot perturb placements or the
-// prediction caches' key-purity.
+// prediction tables' key-purity.
 //
 // Layout: all trees' nodes live in parallel arrays, emitted per tree in
 // preorder so an internal node's left child is the next node. Leaves are

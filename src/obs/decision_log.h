@@ -3,7 +3,7 @@
 // the pod, how many candidates were sampled and feasible, the chosen host,
 // and the top-k candidates with their Eq. 11 score broken into its terms
 // (usage fit POC/Cap * POM/Cap, weighted interference, and how many
-// interference-predictor cache misses scoring the candidate cost — a warm
+// interference-predictor table misses scoring the candidate cost — a warm
 // candidate logs 0).
 //
 // Records are rendered after PlaceScored's best-candidate reduction, on the
@@ -30,8 +30,8 @@ struct CandidateTrace {
   double usage_fit = 0.0;      // Eq. 11 first term: cpu_util * mem_util
   double interference = 0.0;   // Eq. 11 weighted interference sum
   // Interference-predictor misses charged while scoring this candidate:
-  // Predict-cache misses plus slope-cache misses (each slope miss evaluates
-  // both finite-difference endpoints, uncached).
+  // first touches of Predict-table cells plus of slope-table cells (each
+  // slope miss evaluates both finite-difference endpoints).
   uint64_t cache_misses = 0;
 };
 

@@ -167,8 +167,8 @@ class MetricRegistry {
   explicit MetricRegistry(size_t num_lanes = 1);
 
   // Grows every metric (existing and future) to `n` shards. Must be called
-  // while no lane is updating — e.g. before handing the registry to a
-  // scheduler with a thread pool. Grow-only, like the prediction caches.
+  // while no lane is updating — e.g. before distributed shards start
+  // updating their lanes. Grow-only.
   void set_num_lanes(size_t n);
   size_t num_lanes() const { return num_lanes_; }
 
@@ -178,7 +178,7 @@ class MetricRegistry {
 
   // Pull-style metrics: collectors run right before each CollectGauges()
   // and each export, letting instrumented components publish internal
-  // statistics (e.g. prediction-cache hit counts) as gauges without paying
+  // statistics (e.g. prediction-table hit counts) as gauges without paying
   // per-event registry calls on the hot path.
   void AddCollector(std::function<void(MetricRegistry*)> fn);
 

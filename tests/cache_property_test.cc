@@ -1,28 +1,31 @@
 // Property and stress tests for the scoring-cache layer:
-//  - PredictionCache against a reference map under randomized
-//    Insert/Find/Clear interleavings that force Grow() rehashes;
-//  - the by-value Find() contract: lookups stay valid across inserts (the
-//    old pointer-returning API dangled across an Insert-triggered Grow);
 //  - InterferencePredictor history independence: Predict and
 //    MarginalInterference return the same bits cold, warmed in shuffled
-//    order, and after ClearCache();
+//    order, and after ClearCache(), and each distinct table cell costs
+//    exactly one miss per fill;
+//  - ResidentInterference against a from-scratch sum over host.pods under
+//    placement/removal churn, utilization drift within and across coarse
+//    cells, changed weights, profile swaps with ClearCache(), and app ids
+//    outside the catalog;
 //  - the epoch-keyed host-baseline cache: randomized Place/Remove/Observe/
 //    InvalidateAll interleavings must never let a stale prediction survive
 //    a Host::change_epoch or EroTable::version bump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
 #include "src/core/interference_predictor.h"
-#include "src/core/prediction_cache.h"
 #include "src/core/resource_usage_predictor.h"
 #include "src/ml/regressor.h"
 #include "src/stats/rng.h"
@@ -32,105 +35,10 @@
 namespace optum::core {
 namespace {
 
-// Keys mimic the real packing: AppId in the high word (never all-ones).
-uint64_t RandomKey(Rng& rng) {
-  const uint64_t app = rng.NextBelow(1u << 20);
-  const uint64_t bucket = rng.NextBelow(1u << 24);
-  return (app << 32) | bucket;
-}
-
-TEST(PredictionCachePropertyTest, MatchesReferenceMapUnderRandomOps) {
-  Rng rng(1234);
-  PredictionCache cache;
-  std::unordered_map<uint64_t, double> reference;
-  std::vector<uint64_t> inserted;
-
-  for (int step = 0; step < 60000; ++step) {
-    const double roll = rng.NextDouble();
-    if (roll < 0.55) {
-      // Insert a fresh key (the documented find-miss-compute-insert use).
-      uint64_t key = RandomKey(rng);
-      while (reference.count(key) != 0) {
-        key = RandomKey(rng);
-      }
-      const double value = rng.NextDouble();
-      cache.Insert(key, value);
-      reference.emplace(key, value);
-      inserted.push_back(key);
-    } else if (roll < 0.9 && !inserted.empty()) {
-      // Find a known key: must hit with the exact stored value.
-      const uint64_t key = inserted[rng.NextBelow(inserted.size())];
-      const auto found = cache.Find(key);
-      ASSERT_TRUE(found.has_value());
-      ASSERT_EQ(*found, reference.at(key));
-    } else if (roll < 0.98) {
-      // Find a key that was never inserted: must miss.
-      uint64_t key = RandomKey(rng);
-      while (reference.count(key) != 0) {
-        key = RandomKey(rng);
-      }
-      ASSERT_FALSE(cache.Find(key).has_value());
-    } else if (step < 20000) {
-      // Clears only in the first third: the long tail of uninterrupted
-      // inserts then has to push the table through several Grow() rehashes.
-      cache.Clear();
-      reference.clear();
-      inserted.clear();
-    }
-    ASSERT_EQ(cache.size(), reference.size());
-  }
-  // The op mix must have grown the table at least once for the test to have
-  // covered rehashing (55% of 60k steps >> the 4096-slot initial capacity).
-  EXPECT_GT(cache.capacity(), 4096u);
-  // Post-run sweep: every surviving key still maps to its exact value.
-  for (const auto& [key, value] : reference) {
-    const auto found = cache.Find(key);
-    ASSERT_TRUE(found.has_value());
-    ASSERT_EQ(*found, value);
-  }
-}
-
-TEST(PredictionCachePropertyTest, FindResultsSurviveInsertTriggeredGrow) {
-  // The old API returned a pointer into the table; Insert() can Grow() and
-  // relocate every slot, leaving that pointer dangling. Find() now returns
-  // by value, so a lookup taken before an arbitrary number of inserts must
-  // stay exact — this pins the contract (and ASan would catch a regression
-  // to reference-returning semantics).
-  PredictionCache cache;
-  cache.Insert(42, 0.125);
-  const auto before_grow = cache.Find(42);
-  ASSERT_TRUE(before_grow.has_value());
-
-  const size_t capacity_before = cache.capacity();
-  for (uint64_t i = 0; i < 8192; ++i) {
-    cache.Insert((i << 32) | 7u, static_cast<double>(i));
-  }
-  ASSERT_GT(cache.capacity(), capacity_before);  // Grow() really happened.
-
-  EXPECT_EQ(*before_grow, 0.125);
-  const auto after_grow = cache.Find(42);
-  ASSERT_TRUE(after_grow.has_value());
-  EXPECT_EQ(*after_grow, 0.125);
-}
-
-TEST(PredictionCachePropertyTest, ClearKeepsCapacityAndForgetsKeys) {
-  PredictionCache cache;
-  for (uint64_t i = 0; i < 5000; ++i) {
-    cache.Insert(i << 32, static_cast<double>(i));
-  }
-  const size_t grown = cache.capacity();
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.capacity(), grown);
-  for (uint64_t i = 0; i < 5000; ++i) {
-    EXPECT_FALSE(cache.Find(i << 32).has_value());
-  }
-}
-
-// --- Predictor cache history independence ----------------------------------
+// --- Predictor table history independence ----------------------------------
 
 // A model that is smooth and nonlinear in both host utilizations, so any
-// evaluation that is not snapped to its cache bucket's canonical point gives
+// evaluation that is not snapped to its table bucket's canonical point gives
 // a different value for two queries sharing the bucket (a linear model
 // would hide a raw-point slope).
 class SmoothContentionModel final : public ml::Regressor {
@@ -196,7 +104,7 @@ TEST(PredictorHistoryTest, ColdWarmShuffledAndClearedAgreeBitForBit) {
     }
   }
 
-  // The fixed query set: clusters of points jittered around cache-bucket
+  // The fixed query set: clusters of points jittered around table-bucket
   // centres, so many queries share a Predict or slope bucket with a
   // different raw utilization. Utilizations reach past 2.0 to cover the
   // clamp at the grid's top edge.
@@ -235,11 +143,44 @@ TEST(PredictorHistoryTest, ColdWarmShuffledAndClearedAgreeBitForBit) {
                                           /*weight_be=*/0.3);
   };
 
-  // Cold: every query answered by a predictor that has seen nothing else.
+  // The table cells a query touches, as (table, app, cpu bucket, mem
+  // bucket) with table 0 = Predict, 1 = slope: the incoming app's Predict
+  // cell at the post-placement point, plus for a marginal query one slope
+  // cell per resident app at the CPU midpoint. Apps without a model touch
+  // none. Each cell's first touch is the only miss it may cost.
+  using CellKey = std::tuple<int, AppId, uint64_t, uint64_t>;
+  const auto grid = [](double v) {
+    return static_cast<uint64_t>(std::clamp(v, 0.0, 2.0) / 2.0 * 63.0);
+  };
+  const auto has_model = [](AppId app) { return app + 1 < kHistoryApps; };
+  const auto add_cells = [&](const Query& q, std::set<CellKey>* cells) {
+    if (has_model(q.app)) {
+      cells->emplace(0, q.app, grid(q.cpu_after), grid(q.mem_after));
+    }
+    if (!q.marginal) {
+      return;
+    }
+    for (const HostAppCount& c : cluster.host(q.host).app_counts) {
+      if (has_model(c.app)) {
+        cells->emplace(1, c.app, grid(0.5 * (q.cpu_before + q.cpu_after)),
+                       grid(q.mem_after));
+      }
+    }
+  };
+  std::set<CellKey> all_cells;
+  for (const Query& q : queries) {
+    add_cells(q, &all_cells);
+  }
+
+  // Cold: every query answered by a predictor that has seen nothing else,
+  // paying one miss per cell the query touches.
   std::vector<double> cold(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     const InterferencePredictor fresh(&profiles);
     cold[i] = evaluate(fresh, queries[i]);
+    std::set<CellKey> cells;
+    add_cells(queries[i], &cells);
+    ASSERT_EQ(fresh.cache_stats().misses(), cells.size()) << "query " << i;
   }
   size_t nonzero = 0;
   for (const double v : cold) {
@@ -264,25 +205,235 @@ TEST(PredictorHistoryTest, ColdWarmShuffledAndClearedAgreeBitForBit) {
     }
   };
 
-  // Warm: one predictor fills its caches in a shuffled order (every bucket
+  // Warm: one predictor fills its tables in a shuffled order (every bucket
   // is first missed by a random member of its cluster), then answers again
-  // in another order, all from the caches.
+  // in another order, all from the tables.
   InterferencePredictor predictor(&profiles);
   shuffle();
   expect_cold(predictor, "warming pass");
   const uint64_t misses_after_warm = predictor.misses();
+  EXPECT_EQ(misses_after_warm, all_cells.size());
   shuffle();
   expect_cold(predictor, "warm pass");
   EXPECT_EQ(predictor.misses(), misses_after_warm);  // all hits
   EXPECT_GT(predictor.cache_stats().slope_hits, 0u);
 
-  // Cleared: ClearCache drops both caches, and refilling them in yet
+  // Cleared: ClearCache drops both tables, and refilling them in yet
   // another order still reproduces the cold values.
   predictor.ClearCache();
   EXPECT_EQ(predictor.cache_size(), 0u);
   shuffle();
   expect_cold(predictor, "after ClearCache");
-  EXPECT_GT(predictor.misses(), misses_after_warm);
+  EXPECT_EQ(predictor.cache_stats().misses(), 2 * all_cells.size());
+}
+
+// --- ResidentInterference --------------------------------------------------------
+
+// Centre of a utilization's cell on the coarse 8-bucket grid over [0, 2]
+// that ResidentInterference snaps to.
+double CoarseCentre(double v) {
+  const double cell = std::floor(std::clamp(v, 0.0, 2.0) / 2.0 * 7.0);
+  return std::min(2.0, (cell + 0.5) * (2.0 / 7.0));
+}
+
+size_t CoarseCell(double v) {
+  return static_cast<size_t>(std::clamp(v, 0.0, 2.0) / 2.0 * 7.0);
+}
+
+// What ResidentInterference must return, from scratch: each resident pod's
+// weighted Predict at the host's coarse cell centre, read from a predictor
+// that has answered nothing else, grouped per app (count x value) in app
+// order, the order Host::app_counts keeps.
+double ExpectedResident(const OptumProfiles& profiles, const Host& host, double cpu,
+                        double mem, double w_ls, double w_be) {
+  const InterferencePredictor cold(&profiles);
+  std::map<AppId, std::pair<SloClass, int>> per_app;
+  for (const PodRuntime* pod : host.pods) {
+    ++per_app.try_emplace(pod->spec.app, pod->spec.slo, 0).first->second.second;
+  }
+  double total = 0.0;
+  for (const auto& [app, slo_count] : per_app) {
+    const double ri = cold.Predict(app, CoarseCentre(cpu), CoarseCentre(mem));
+    if (ri == 0.0) {
+      continue;
+    }
+    const SloClass slo = slo_count.first;
+    const double weight =
+        IsLatencySensitive(slo) ? w_ls : slo == SloClass::kBe ? w_be : 0.0;
+    total += weight * ri * static_cast<double>(slo_count.second);
+  }
+  return total;
+}
+
+// The catalog's apps (0..7 with models, 8 without) plus two ids outside
+// the catalog: -1 and one past its last id.
+std::vector<AppProfile> ResidentApps() {
+  std::vector<AppProfile> apps;
+  for (AppId app = 0; app < kHistoryApps; ++app) {
+    apps.push_back(MakeHistoryApp(app));
+  }
+  AppProfile negative = MakeHistoryApp(0);
+  negative.id = -1;
+  AppProfile past_catalog = MakeHistoryApp(1);
+  past_catalog.id = kHistoryApps + 40;
+  apps.push_back(negative);
+  apps.push_back(past_catalog);
+  return apps;
+}
+
+TEST(ResidentInterferenceTest, MatchesPodSumUnderPlacementAndRemovalChurn) {
+  const OptumProfiles profiles = MakeHistoryProfiles();
+  const std::vector<AppProfile> apps = ResidentApps();
+  const InterferencePredictor predictor(&profiles);
+  constexpr int kHosts = 6;
+  ClusterState cluster(kHosts, kUnitResources, /*history_window=*/8);
+  Rng rng(77);
+  std::vector<PodRuntime*> placed;
+  PodId next_id = 0;
+  for (int step = 0; step < 500; ++step) {
+    if (placed.empty() || rng.NextDouble() < 0.6) {
+      const AppProfile& app = apps[rng.NextBelow(apps.size())];
+      placed.push_back(cluster.Place(MakePodSpec(next_id++, app), &app,
+                                     static_cast<HostId>(rng.NextBelow(kHosts)), 0));
+    } else {
+      const size_t victim = rng.NextBelow(placed.size());
+      cluster.Remove(placed[victim]);
+      placed[victim] = placed.back();
+      placed.pop_back();
+    }
+    // Each host at a fixed point (so only the pod set moves between steps)
+    // and at a fresh one reaching past the grid's top edge.
+    for (const Host& host : cluster.hosts()) {
+      const double fixed_cpu = 0.3 + 0.2 * host.id;
+      const double fixed_mem = 0.5;
+      ASSERT_EQ(predictor.ResidentInterference(host, fixed_cpu, fixed_mem, 0.7, 0.3),
+                ExpectedResident(profiles, host, fixed_cpu, fixed_mem, 0.7, 0.3))
+          << "step " << step << ", host " << host.id;
+      const double cpu = 2.2 * rng.NextDouble();
+      const double mem = 2.2 * rng.NextDouble();
+      ASSERT_EQ(predictor.ResidentInterference(host, cpu, mem, 0.7, 0.3),
+                ExpectedResident(profiles, host, cpu, mem, 0.7, 0.3))
+          << "step " << step << ", host " << host.id << " at (" << cpu << ", " << mem
+          << ")";
+    }
+  }
+}
+
+TEST(ResidentInterferenceTest, UtilizationDriftWithinAndAcrossCoarseCells) {
+  const OptumProfiles profiles = MakeHistoryProfiles();
+  const std::vector<AppProfile> apps = ResidentApps();
+  const InterferencePredictor predictor(&profiles);
+  ClusterState cluster(1, kUnitResources, /*history_window=*/8);
+  PodId next_id = 0;
+  for (const AppProfile& app : apps) {
+    for (int k = 0; k <= app.id % 3; ++k) {
+      cluster.Place(MakePodSpec(next_id++, app), &app, 0, 0);
+    }
+  }
+  const Host& host = cluster.host(0);
+  double previous = 0.0;
+  size_t previous_cell = ~size_t{0};
+  std::set<double> distinct;
+  for (int i = 0; i <= 440; ++i) {
+    // CPU sweeps [0, 2.2] in steps far below a coarse cell; memory drifts
+    // slowly, crossing cells of its own.
+    const double cpu = 0.005 * i;
+    const double mem = 0.2 + 0.003 * i;
+    const double got = predictor.ResidentInterference(host, cpu, mem, 0.7, 0.3);
+    ASSERT_EQ(got, ExpectedResident(profiles, host, cpu, mem, 0.7, 0.3))
+        << "at (" << cpu << ", " << mem << ")";
+    const size_t cell = CoarseCell(cpu) * 8 + CoarseCell(mem);
+    if (cell == previous_cell) {
+      ASSERT_EQ(got, previous) << "value moved within one coarse cell at " << cpu;
+    }
+    previous = got;
+    previous_cell = cell;
+    distinct.insert(got);
+  }
+  EXPECT_GT(distinct.size(), 8u);  // crossing cells does change the sum
+}
+
+TEST(ResidentInterferenceTest, ChangedWeightsAreHonoured) {
+  const OptumProfiles profiles = MakeHistoryProfiles();
+  const std::vector<AppProfile> apps = ResidentApps();
+  const InterferencePredictor predictor(&profiles);
+  ClusterState cluster(1, kUnitResources, /*history_window=*/8);
+  PodId next_id = 0;
+  for (const AppProfile& app : apps) {
+    cluster.Place(MakePodSpec(next_id++, app), &app, 0, 0);
+  }
+  const Host& host = cluster.host(0);
+  const std::vector<std::pair<double, double>> weights = {
+      {0.7, 0.3}, {1.0, 0.0}, {0.0, 1.0}, {0.25, 2.0}, {0.7, 0.3}};
+  std::vector<double> got;
+  for (const auto& [w_ls, w_be] : weights) {
+    got.push_back(predictor.ResidentInterference(host, 0.8, 0.6, w_ls, w_be));
+    ASSERT_EQ(got.back(), ExpectedResident(profiles, host, 0.8, 0.6, w_ls, w_be))
+        << "weights (" << w_ls << ", " << w_be << ")";
+  }
+  EXPECT_GT(got[1], 0.0);
+  EXPECT_GT(got[2], 0.0);
+  EXPECT_NE(got[1], got[2]);
+  EXPECT_EQ(got[0], got[4]);
+}
+
+TEST(ResidentInterferenceTest, ProfileSwapWithClearCacheServesTheNewModels) {
+  OptumProfiles profiles = MakeHistoryProfiles();
+  const std::vector<AppProfile> apps = ResidentApps();
+  InterferencePredictor predictor(&profiles);
+  constexpr int kHosts = 4;
+  ClusterState cluster(kHosts, kUnitResources, /*history_window=*/8);
+  PodId next_id = 0;
+  for (HostId h = 0; h < kHosts; ++h) {
+    for (int k = 0; k < 5; ++k) {
+      const AppProfile& app = apps[static_cast<size_t>(h + 2 * k) % apps.size()];
+      cluster.Place(MakePodSpec(next_id++, app), &app, h, 0);
+    }
+  }
+  const auto check_all = [&](const std::string& phase) {
+    std::vector<double> values;
+    for (const Host& host : cluster.hosts()) {
+      for (const double cpu : {0.1, 0.65, 1.3, 2.1}) {
+        values.push_back(predictor.ResidentInterference(host, cpu, 0.4, 0.7, 0.3));
+        EXPECT_EQ(values.back(), ExpectedResident(profiles, host, cpu, 0.4, 0.7, 0.3))
+            << phase << ", host " << host.id << ", cpu " << cpu;
+      }
+    }
+    return values;
+  };
+  const std::vector<double> before = check_all("before the swap");
+
+  // Swap the models in place (the scheduler's ReplaceProfiles reuses the
+  // profiles object the same way): every curve changes, app 3 loses its
+  // model and app 8 gains one.
+  for (auto& [app, model] : profiles.apps) {
+    model.model = app == 3 ? nullptr
+                           : std::make_shared<SmoothContentionModel>(1.7 + 0.05 * app);
+  }
+  predictor.ClearCache();
+  EXPECT_EQ(predictor.cache_size(), 0u);
+  const std::vector<double> after = check_all("after ClearCache");
+  EXPECT_NE(before, after);
+  EXPECT_EQ(check_all("warm after ClearCache"), after);
+}
+
+TEST(ResidentInterferenceTest, AppsOutsideTheCatalogReadZero) {
+  const OptumProfiles profiles = MakeHistoryProfiles();
+  const InterferencePredictor predictor(&profiles);
+  ClusterState cluster(1, kUnitResources, /*history_window=*/8);
+  PodId next_id = 0;
+  for (const AppId id : {AppId{-1}, AppId{kHistoryApps - 1}, AppId{kHistoryApps},
+                         AppId{kHistoryApps + 40}}) {
+    AppProfile app = MakeHistoryApp(id < 0 ? 0 : id);
+    app.id = id;
+    cluster.Place(MakePodSpec(next_id++, app), &app, 0, 0);
+    EXPECT_EQ(predictor.Predict(id, 0.9, 0.9), 0.0) << "app " << id;
+  }
+  for (const double cpu : {0.0, 0.9, 2.5}) {
+    EXPECT_EQ(predictor.ResidentInterference(cluster.host(0), cpu, 0.9, 0.7, 0.3), 0.0)
+        << "cpu " << cpu;
+  }
+  EXPECT_EQ(predictor.cache_stats().misses(), 0u);
 }
 
 // --- Epoch-keyed host-baseline cache -----------------------------------------
@@ -297,7 +448,6 @@ TEST(HostBaselineCacheStressTest, NoStaleHitSurvivesEpochOrVersionBumps) {
   OptumProfiles profiles;
   ClusterState cluster(6, kUnitResources, 16);
   ResourceUsagePredictor predictor(&profiles);
-  ASSERT_TRUE(predictor.cache_enabled());
 
   Rng rng(4321);
   std::vector<PodRuntime*> placed;

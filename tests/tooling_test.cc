@@ -1,7 +1,9 @@
-// Tests for the tooling layer: command-line flag parsing, the trace
-// analysis helpers used by tools/trace_summary and tools/runsim, and the
-// shared JSONL reader behind slo_report / series_plot / profile_report.
+// Tests for the tooling layer: command-line flag parsing (and every CLI
+// tool's closing flag check, run as a subprocess), the trace analysis
+// helpers used by tools/trace_summary and tools/runsim, and the shared
+// JSONL reader behind slo_report / series_plot / profile_report.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <string>
@@ -186,6 +188,101 @@ TEST(FlagParserTest, LastValueWins) {
   const auto argv = Argv({"--x=1", "--x=2"});
   ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_EQ(flags.GetInt("x", 0), 2);
+}
+
+TEST(FlagParserTest, ValidateNamesAFlagTheToolNeverRead) {
+  FlagParser flags;
+  const auto argv = Argv({"--hosts", "50", "--threads", "4", "in.csv"});
+  ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(flags.GetInt("hosts", 0), 50);
+  EXPECT_EQ(flags.Validate(), "unknown flag --threads");
+  // Every read counts, including Has() and list reads; positionals are the
+  // tool's own business.
+  EXPECT_FALSE(flags.Has("absent"));
+  EXPECT_EQ(flags.GetStringList("threads").size(), 1u);
+  EXPECT_EQ(flags.Validate(), "");
+}
+
+TEST(FlagParserTest, ValidateNamesAMalformedValue) {
+  for (const char* arg : {"--hosts=abc", "--hosts=12x", "--hosts=99999999999999999999",
+                          "--rate=1.5x", "--rate=1e999", "--on=maybe"}) {
+    FlagParser flags;
+    const auto argv = Argv({arg});
+    ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+    EXPECT_EQ(flags.GetInt("hosts", 7), 7);
+    EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.5), 0.5);
+    EXPECT_TRUE(flags.GetBool("on", true));
+    const std::string error = flags.Validate();
+    const std::string name = std::string(arg).substr(0, std::string(arg).find('='));
+    const std::string value = std::string(arg).substr(name.size() + 1);
+    EXPECT_NE(error.find(name + ": malformed"), std::string::npos) << error;
+    EXPECT_NE(error.find("'" + value + "'"), std::string::npos) << error;
+  }
+  FlagParser well_formed;
+  const auto argv = Argv({"--hosts=-3", "--rate=2.5e-3", "--on=no"});
+  ASSERT_TRUE(well_formed.Parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(well_formed.GetInt("hosts", 0), -3);
+  EXPECT_DOUBLE_EQ(well_formed.GetDouble("rate", 0), 2.5e-3);
+  EXPECT_FALSE(well_formed.GetBool("on", true));
+  EXPECT_EQ(well_formed.Validate(), "");
+}
+
+// --- Every tool's closing flag check ---------------------------------------------
+
+struct ToolRun {
+  int exit_code = -1;
+  std::string output;  // stdout and stderr
+};
+
+ToolRun RunTool(const std::string& tool, const std::string& args) {
+  const std::string command =
+      std::string(OPTUM_TOOL_DIR) + "/" + tool + " " + args + " 2>&1";
+  ToolRun run;
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return run;
+  }
+  char buffer[512];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+    run.output += buffer;
+  }
+  const int status = pclose(pipe);
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run;
+}
+
+// Each tool with otherwise valid, tiny arguments: an unknown flag, then a
+// malformed number for a flag the tool does read, must each stop the tool
+// before it does any work, with exit code 2 and a one-line error naming
+// the flag.
+TEST(ToolFlagCheckTest, UnknownFlagAndMalformedNumberExitNonZero) {
+  struct Case {
+    std::string tool;
+    std::string args;
+    std::string numeric_flag;
+    std::string type;  // as the error message names it
+  };
+  const Case cases[] = {
+      {"runsim", "--scheduler alibaba --hosts 4 --hours 1", "--ls-load", "number"},
+      {"serve_bench", "--hosts 50 --shards 2 --rounds 2 --offered 20", "--offered",
+       "number"},
+      {"trace_summary", "/nonexistent/trace", "--hosts", "integer"},
+      {"series_plot", "/nonexistent/series.jsonl", "--width", "integer"},
+      {"slo_report", "--slo /nonexistent/slo.json", "--top", "integer"},
+      {"profile_report", "/nonexistent/profile.jsonl", "--top", "integer"},
+      {"bench_diff", "/nonexistent/a.json /nonexistent/b.json", "--threshold",
+       "number"},
+  };
+  for (const Case& c : cases) {
+    const ToolRun unknown = RunTool(c.tool, c.args + " --threads 4");
+    EXPECT_EQ(unknown.exit_code, 2) << c.tool << ": " << unknown.output;
+    EXPECT_EQ(unknown.output, c.tool + ": unknown flag --threads\n");
+
+    const ToolRun malformed = RunTool(c.tool, c.args + " " + c.numeric_flag + " 12abc");
+    EXPECT_EQ(malformed.exit_code, 2) << c.tool << ": " << malformed.output;
+    EXPECT_EQ(malformed.output,
+              c.tool + ": " + c.numeric_flag + ": malformed " + c.type + " '12abc'\n");
+  }
 }
 
 // --- Trace stats ----------------------------------------------------------------

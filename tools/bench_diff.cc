@@ -168,6 +168,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   const double threshold = flags.GetDouble("threshold", 30.0);
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "bench_diff: %s\n", error.c_str());
+    return 2;
+  }
 
   std::string old_text, new_text;
   bool baseline_exists = true;

@@ -269,6 +269,10 @@ int main(int argc, char** argv) {
   const std::string path = flags.positional()[0];
   const size_t top_k = static_cast<size_t>(flags.GetInt("top", 5));
   const std::string diff_path = flags.GetString("diff", "");
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "profile_report: %s\n", error.c_str());
+    return 2;
+  }
 
   Profile profile;
   if (!LoadProfile(path, &profile)) {

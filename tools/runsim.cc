@@ -68,6 +68,14 @@ int main(int argc, char** argv) {
   const cli::ObsOptions obs_opts = cli::ParseObsOptions(flags);
   const cli::BurstOptions burst_opts = cli::ParseBurstOptions(flags);
   const std::string decision_log_path = flags.GetString("decision-log", "");
+  const std::string trace_out = flags.GetString("trace-out", "");
+  const std::string which = flags.GetString("scheduler", "optum");
+  const bool triple_ero = flags.GetBool("triple-ero", false);
+  core::OptumConfig optum_config;
+  optum_config.omega_o = flags.GetDouble("omega_o", 0.7);
+  optum_config.omega_b = flags.GetDouble("omega_b", 0.3);
+  optum_config.sample_fraction = flags.GetDouble("sample", 0.05);
+  optum_config.use_triple_ero = triple_ero;
 
   WorkloadConfig config;
   config.num_hosts = static_cast<int>(flags.GetInt("hosts", 64));
@@ -75,6 +83,10 @@ int main(int argc, char** argv) {
   config.seed = cli::GetSeed(flags, "seed", 42);
   config.initial_ls_request_load = flags.GetDouble("ls-load", 0.8);
   config.be_target_request_load = flags.GetDouble("be-load", 0.25);
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "runsim: %s\n", error.c_str());
+    return 2;
+  }
   Workload workload = WorkloadGenerator(config).Generate();
 
   // Anomaly-storm overlay (DESIGN.md §13): correlated extra arrivals the
@@ -112,7 +124,6 @@ int main(int argc, char** argv) {
   SimConfig sim_config;
   sim_config.pod_usage_period = 5;
 
-  const std::string which = flags.GetString("scheduler", "optum");
   std::unique_ptr<PlacementPolicy> policy;
   std::unique_ptr<core::OptumScheduler> optum;
   if (which == "alibaba") {
@@ -134,14 +145,9 @@ int main(int argc, char** argv) {
     const SimResult ref_result = Simulator(workload, sim_config, reference).Run();
     core::OfflineProfilerConfig prof_config;
     prof_config.max_train_samples = 1500;
-    prof_config.enable_triple_ero = flags.GetBool("triple-ero", false);
+    prof_config.enable_triple_ero = triple_ero;
     core::OptumProfiles profiles =
         core::OfflineProfiler(prof_config).BuildProfiles(ref_result.trace);
-    core::OptumConfig optum_config;
-    optum_config.omega_o = flags.GetDouble("omega_o", 0.7);
-    optum_config.omega_b = flags.GetDouble("omega_b", 0.3);
-    optum_config.sample_fraction = flags.GetDouble("sample", 0.05);
-    optum_config.use_triple_ero = flags.GetBool("triple-ero", false);
     optum = std::make_unique<core::OptumScheduler>(std::move(profiles), optum_config);
     sim_config.on_tick_end = [&optum](const ClusterState& cluster, Tick now) {
       optum->ObserveColocation(cluster, now);
@@ -339,7 +345,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string trace_out = flags.GetString("trace-out", "");
   if (!trace_out.empty()) {
     if (!WriteTraceBundle(result.trace, trace_out)) {
       std::fprintf(stderr, "failed to write trace to %s\n", trace_out.c_str());

@@ -217,6 +217,10 @@ int main(int argc, char** argv) {
   const std::string svg = flags.GetString("svg", "");
   const int width = static_cast<int>(flags.GetInt("width", 72));
   const int height = static_cast<int>(flags.GetInt("height", 16));
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "series_plot: %s\n", error.c_str());
+    return 2;
+  }
   if (wanted.size() > kMaxOverlay) {
     std::fprintf(stderr, "series_plot: at most %zu overlaid columns\n",
                  kMaxOverlay);

@@ -98,6 +98,28 @@ int Main(int argc, char** argv) {
   const bool pressure_on = flags.GetBool("pressure", false) ||
                            obs_opts.wants_pressure() ||
                            !obs_opts.series_json.empty();
+  obs::HostPressureMonitor::Options pressure_opts;
+  const obs::HotspotConfig hotspot_defaults;
+  pressure_opts.hotspot.onset_threshold =
+      flags.GetDouble("hot-onset", hotspot_defaults.onset_threshold);
+  pressure_opts.hotspot.clear_threshold =
+      flags.GetDouble("hot-clear", hotspot_defaults.clear_threshold);
+  pressure_opts.hotspot.min_onset_ticks = flags.GetInt("hot-dwell", 3);
+  pressure_opts.hotspot.min_clear_ticks = flags.GetInt("hot-dwell", 3);
+  pressure_opts.pressure.slo_threshold = flags.GetDouble("slo-threshold", 0.8);
+  pressure_opts.num_slo_shards = config.distributed.num_schedulers;
+  pressure_opts.seconds_per_tick = config.arrival.round_seconds;
+  // --prefill K seeds every host with K long-lived pods before serving, the
+  // same occupancy regime as the committed bench section (ids start far
+  // above the arrival driver's dense-from-0 range).
+  const int prefill = static_cast<int>(flags.GetInt("prefill", 0));
+  const size_t profile_window =
+      static_cast<size_t>(flags.GetInt("profile-window", 64));
+  const std::string out_path = flags.GetString("out", "");
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "serve_bench: %s\n", error.c_str());
+    return 2;
+  }
 
   std::printf("training profiles from the 64-host reference run...\n");
   const Workload reference =
@@ -108,10 +130,6 @@ int Main(int argc, char** argv) {
       bench::BuildProfiles(reference_sim.Run().trace);
 
   ClusterState cluster(hosts, kUnitResources, /*history_window=*/64);
-  // --prefill K seeds every host with K long-lived pods before serving, the
-  // same occupancy regime as the committed bench section (ids start far
-  // above the arrival driver's dense-from-0 range).
-  const int prefill = static_cast<int>(flags.GetInt("prefill", 0));
   if (prefill > 0) {
     const std::vector<const AppProfile*> catalog = SchedulableApps(reference);
     PodId prefill_id = 1'000'000'000;
@@ -166,8 +184,7 @@ int Main(int argc, char** argv) {
   std::unique_ptr<obs::RoundProfiler> profiler;
   if (obs_opts.wants_profile()) {
     obs::RoundProfiler::Options popts;
-    popts.window_rounds =
-        static_cast<size_t>(flags.GetInt("profile-window", 64));
+    popts.window_rounds = profile_window;
     profiler = std::make_unique<obs::RoundProfiler>(popts);
     if (!obs_opts.profile_json.empty()) {
       profile_log = std::make_unique<obs::ProfileLog>(obs_opts.profile_json);
@@ -183,19 +200,8 @@ int Main(int argc, char** argv) {
   // optional series recorder picks them up as columns.
   std::unique_ptr<obs::HostPressureMonitor> monitor;
   if (pressure_on) {
-    obs::HostPressureMonitor::Options opts;
-    const obs::HotspotConfig hotspot_defaults;
-    opts.hotspot.onset_threshold =
-        flags.GetDouble("hot-onset", hotspot_defaults.onset_threshold);
-    opts.hotspot.clear_threshold =
-        flags.GetDouble("hot-clear", hotspot_defaults.clear_threshold);
-    opts.hotspot.min_onset_ticks = flags.GetInt("hot-dwell", 3);
-    opts.hotspot.min_clear_ticks = flags.GetInt("hot-dwell", 3);
-    opts.pressure.slo_threshold = flags.GetDouble("slo-threshold", 0.8);
-    opts.num_slo_shards = config.distributed.num_schedulers;
-    opts.seconds_per_tick = config.arrival.round_seconds;
     monitor = std::make_unique<obs::HostPressureMonitor>(
-        static_cast<size_t>(hosts), opts);
+        static_cast<size_t>(hosts), pressure_opts);
     monitor->AttachSinks(sinks, "serve");
     service.set_pressure_monitor(monitor.get());
   }
@@ -313,7 +319,6 @@ int Main(int argc, char** argv) {
 
   const std::string document =
       serve::RenderLatencyHeader() + "\n" + serve::RenderLatencyRow(row) + "\n";
-  const std::string out_path = flags.GetString("out", "");
   if (out_path.empty()) {
     std::fputs(document.c_str(), stdout);
     return 0;

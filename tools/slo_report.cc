@@ -46,6 +46,10 @@ int main(int argc, char** argv) {
   const std::string latency_path = flags.GetString("latency", "");
   const std::string series_path = flags.GetString("series", "");
   const size_t top_k = static_cast<size_t>(flags.GetInt("top", 5));
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "slo_report: %s\n", error.c_str());
+    return 2;
+  }
 
   // --- optum.slo.v1: per-class violation table ---
   std::string slo_text;

@@ -28,12 +28,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string dir = flags.positional()[0];
+  const bool generate = flags.GetBool("generate", false);
+  const bool json = flags.GetBool("json", false);
+  const std::string json_out_path = flags.GetString("json-out", "");
+  // Demo-trace shape, used with --generate.
+  WorkloadConfig config;
+  config.num_hosts = static_cast<int>(flags.GetInt("hosts", 48));
+  config.horizon = flags.GetInt("hours", 6) * kTicksPerHour;
+  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  if (const std::string error = flags.Validate(); !error.empty()) {
+    std::fprintf(stderr, "trace_summary: %s\n", error.c_str());
+    return 2;
+  }
 
-  if (flags.GetBool("generate", false)) {
-    WorkloadConfig config;
-    config.num_hosts = static_cast<int>(flags.GetInt("hosts", 48));
-    config.horizon = flags.GetInt("hours", 6) * kTicksPerHour;
-    config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  if (generate) {
     const Workload workload = WorkloadGenerator(config).Generate();
     AlibabaBaseline scheduler;
     SimConfig sim_config;
@@ -43,7 +51,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "failed to write trace to %s\n", dir.c_str());
       return 1;
     }
-    if (!flags.GetBool("json", false)) {
+    if (!json) {
       std::printf("generated demo trace in %s\n\n", dir.c_str());
     }
   }
@@ -55,12 +63,11 @@ int main(int argc, char** argv) {
   }
 
   const TraceSummary summary = Summarize(trace);
-  const std::string json_out_path = flags.GetString("json-out", "");
   if (!json_out_path.empty()) {
     // Shared checked sink (schema optum.summary.v1, as with --json).
     return obs::WriteJsonDocument(json_out_path, RenderSummaryJson(summary)) ? 0 : 1;
   }
-  if (flags.GetBool("json", false)) {
+  if (json) {
     // Same export code path as `runsim --json` (schema optum.summary.v1).
     std::printf("%s\n", RenderSummaryJson(summary).c_str());
     return 0;
