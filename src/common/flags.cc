@@ -131,6 +131,9 @@ std::string FlagParser::Validate() const {
       return "unknown flag --" + entry.first;
     }
   }
+  if (!positional_read_ && !positional_.empty()) {
+    return "unexpected argument '" + positional_.front() + "'";
+  }
   return malformed_;
 }
 

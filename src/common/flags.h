@@ -1,8 +1,10 @@
 // Minimal command-line flag parsing for the CLI tools: --name=value and
 // --name value forms, with typed accessors. Deliberately tiny — no registry
 // globals, no abbreviations, no per-tool flag list: the parser records
-// which names the tool read, and the tool's closing Validate() call turns
-// any flag it never read, or any value that did not parse, into an error.
+// which names the tool read (and whether it read the positionals), and the
+// tool's closing Validate() call turns any flag it never read, a positional
+// argument given to a tool that never asked for one, or any value that did
+// not parse, into an error.
 #ifndef OPTUM_SRC_COMMON_FLAGS_H_
 #define OPTUM_SRC_COMMON_FLAGS_H_
 
@@ -39,13 +41,18 @@ class FlagParser {
   // last-occurrence-wins behavior.
   std::vector<std::string> GetStringList(const std::string& name) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
+  // Marks the positional arguments read.
+  const std::vector<std::string>& positional() const {
+    positional_read_ = true;
+    return positional_;
+  }
 
   // The tool's closing check: call once, after reading every flag it
   // understands and before doing any work. Returns "" when every flag on
-  // the command line was read and every numeric or boolean value parsed;
-  // otherwise a one-line message naming the first offending flag, such as
-  // "unknown flag --threads" or "--hosts: malformed integer 'abc'".
+  // the command line was read, positionals were read or absent, and every
+  // numeric or boolean value parsed; otherwise a one-line message naming
+  // the first offender, such as "unknown flag --threads",
+  // "unexpected argument 'in.csv'" or "--hosts: malformed integer 'abc'".
   std::string Validate() const;
 
  private:
@@ -58,8 +65,10 @@ class FlagParser {
   // (name, value) pairs in argv order, for repeatable flags.
   std::vector<std::pair<std::string, std::string>> ordered_;
   std::vector<std::string> positional_;
-  // Names the tool asked about, and the first value that failed to parse.
+  // Names the tool asked about, whether it asked for the positionals, and
+  // the first value that failed to parse.
   mutable std::set<std::string> read_;
+  mutable bool positional_read_ = false;
   mutable std::string malformed_;
 };
 

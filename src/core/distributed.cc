@@ -11,10 +11,11 @@
 namespace optum::core {
 
 DistributedCoordinator::DistributedCoordinator(const OptumProfiles& profiles,
-                                               DistributedConfig config)
+                                               DistributedConfig config,
+                                               size_t pipeline_depth)
     : pool_(std::max<size_t>(1, config.num_schedulers)),
       max_attempts_per_pod_(std::max<size_t>(1, config.max_attempts_per_pod)),
-      pipeline_depth_(std::max<size_t>(1, config.pipeline_depth)) {
+      pipeline_depth_(std::max<size_t>(1, pipeline_depth)) {
   OPTUM_CHECK_GE(config.num_schedulers, 1u);
   pipelines_.resize(config.num_schedulers);
   shards_.reserve(config.num_schedulers);

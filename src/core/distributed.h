@@ -32,16 +32,6 @@ struct DistributedConfig {
   // Placement attempts per pod (rejections and lost conflicts both count)
   // before the pod is returned as unplaced.
   size_t max_attempts_per_pod = 4;
-  // Conflict-round pipelining (DESIGN.md §12): with depth D > 1, each shard
-  // keeps up to D-1 future head pods speculatively sampled and scored
-  // against an epoch-snapshotted host view, and each round merely
-  // revalidates the candidates whose hosts the intervening commits touched
-  // (epoch-stamped evaluation memo) instead of rescoring from scratch.
-  // Placements, scores, spans, and rounds are bit-identical for every
-  // depth (OptumScheduler speculation contract); depth 1 is the classic
-  // score-then-resolve loop. Shards with a decision log attached decline
-  // speculation and fall back to in-round scoring on their own.
-  size_t pipeline_depth = 1;
   // Configuration template for each shard scheduler; the seed is salted
   // per shard so the shards sample different host subsets.
   OptumConfig scheduler_config;
@@ -61,7 +51,19 @@ class DistributedCoordinator {
  public:
   // Each shard receives its own copy of `profiles` (trained models are
   // shared immutably), so shard decisions are safely parallel.
-  DistributedCoordinator(const OptumProfiles& profiles, DistributedConfig config);
+  //
+  // `pipeline_depth` is conflict-round pipelining (DESIGN.md §12): with
+  // depth D > 1, each shard keeps up to D-1 future head pods speculatively
+  // sampled and scored against an epoch-snapshotted host view, and each
+  // round merely revalidates the candidates whose hosts the intervening
+  // commits touched (epoch-stamped evaluation memo) instead of rescoring
+  // from scratch. Placements, scores, spans, and rounds are bit-identical
+  // for every depth (OptumScheduler speculation contract); depth 1 (and 0)
+  // is the classic score-then-resolve loop. Shards with a decision log
+  // attached decline speculation and fall back to in-round scoring on
+  // their own.
+  DistributedCoordinator(const OptumProfiles& profiles, DistributedConfig config,
+                         size_t pipeline_depth = 1);
   ~DistributedCoordinator();
 
   // Schedules a batch. Each shard works through its own slice of the batch
@@ -96,7 +98,7 @@ class DistributedCoordinator {
   //     serial phase times resolve/commit into lane 0, measures the barrier
   //     wall, and closes the round via EndRound. Both scopes run on every
   //     active shard-round regardless of pipeline_depth, so scope counts
-  //     stay bit-identical across the depth × ingest matrix.
+  //     stay bit-identical across depths.
   // Other fields are ignored; shard-level span/decision logs are
   // deliberately NOT forwarded (shards decide on parallel pool tasks —
   // interleaved emission would be nondeterministic). Attach those via

@@ -62,9 +62,16 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          return Fail("nesting too deep");
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out->kind = JsonValue::Kind::kString;
         return ParseString(&out->string_value);
@@ -189,7 +196,7 @@ class Parser {
           break;
         case 'u': {
           // Our writer only emits \u00XX for control bytes; decode the
-          // low byte and ignore anything above Latin-1 (trusted input).
+          // low byte and ignore anything above Latin-1.
           if (pos_ + 4 > text_.size()) {
             return Fail("truncated \\u escape");
           }
@@ -210,7 +217,14 @@ class Parser {
     return Fail("unterminated string");
   }
 
+  // JSON numbers start with a digit or '-' then a digit; the check keeps
+  // from_chars's nan/inf/Infinity spellings out.
   bool ParseNumber(JsonValue* out) {
+    const size_t digit = pos_ + (text_[pos_] == '-' ? 1 : 0);
+    if (digit >= text_.size() ||
+        std::isdigit(static_cast<unsigned char>(text_[digit])) == 0) {
+      return Fail("bad number");
+    }
     const char* begin = text_.data() + pos_;
     const char* end = text_.data() + text_.size();
     double v = 0.0;
@@ -227,6 +241,7 @@ class Parser {
   std::string_view text_;
   std::string* error_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

@@ -3,8 +3,10 @@
 // compares BENCH_hotpath.json files; series_plot reads optum.series.v1
 // JSONL lines). Recursive-descent into a small DOM; objects keep member
 // order (a vector of pairs, not a map) so column order in series lines is
-// preserved. Not a general-purpose parser: no \uXXXX surrogate pairs, no
-// depth guard beyond the stack — fine for trusted, self-produced input.
+// preserved. Not a general-purpose parser (no \uXXXX surrogate pairs), but
+// safe on hostile input: the files it reads are user-supplied paths, so
+// nesting deeper than kMaxJsonDepth and non-JSON number tokens (nan, inf,
+// Infinity) are parse errors with a byte offset, never a crash or UB.
 #ifndef OPTUM_SRC_OBS_JSON_READER_H_
 #define OPTUM_SRC_OBS_JSON_READER_H_
 
@@ -16,6 +18,10 @@
 #include <vector>
 
 namespace optum::obs {
+
+// Deepest array/object nesting ParseJson accepts; the repo's own exports
+// nest at most a few levels.
+inline constexpr int kMaxJsonDepth = 256;
 
 struct JsonValue {
   enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -46,12 +52,18 @@ struct JsonValue {
     return nullptr;
   }
 
-  // Number coercions with defaults, for optional fields.
+  // Number coercions with defaults, for optional fields. AsInt truncates
+  // toward zero and returns `fallback` for numbers outside int64_t's range
+  // [-2^63, 2^63), where the cast would be undefined.
   double AsNumber(double fallback = 0.0) const {
     return kind == Kind::kNumber ? number : fallback;
   }
   int64_t AsInt(int64_t fallback = 0) const {
-    return kind == Kind::kNumber ? static_cast<int64_t>(number) : fallback;
+    constexpr double kTwoPow63 = 9223372036854775808.0;
+    if (kind != Kind::kNumber || !(number >= -kTwoPow63 && number < kTwoPow63)) {
+      return fallback;
+    }
+    return static_cast<int64_t>(number);
   }
 };
 

@@ -19,8 +19,8 @@
 //
 // Determinism contract (pinned by tests/profiler_test): the *count* fields
 // — window ids, rounds per window, shard ids, phase names, and per-phase
-// counts — are bit-identical across pipeline_depth × ingest on/off, exactly
-// like placed-pod sets and latency rows. The ns fields
+// counts — are bit-identical across pipeline_depth, exactly like placed-pod
+// sets and latency rows. The ns fields
 // (total_ns/max_ns/barrier_ns/idle_ns) and the critical-path
 // *identity* (which shard/phase bounded a round) are wall-clock-derived and
 // excluded, mirroring the serve_wall_s carve-out.
@@ -48,7 +48,7 @@ namespace optum::obs {
 // order inside a (window, shard) group and the tie-break order for
 // critical-path attribution (lower enum wins).
 enum class ProfilePhase : uint8_t {
-  kIngestWait = 0,          // arrivals: ingest hand-off barrier or inline emit
+  kIngestWait = 0,          // arrivals: emit + admission offers
   kSpecScore = 1,           // speculative top-up scoring (barrier phase)
   kFinalizeRevalidate = 2,  // settle the head pod: revalidate+finalize the
                             // staged speculation, or score fresh when none
@@ -217,7 +217,7 @@ class RoundProfiler {
   // Deterministic projection of everything flushed so far — window ids,
   // round counts, and per-(window, shard, phase) counts, ns fields
   // excluded. The determinism tests compare these strings across the
-  // pipeline/thread/ingest matrix.
+  // pipeline-depth matrix.
   const std::string& RenderCounts() const { return counts_projection_; }
 
   int64_t windows_flushed() const { return windows_flushed_; }

@@ -13,16 +13,14 @@
 // The queue stores raw ServePod pointers; PlacementService owns the pods
 // (append-only deque, so addresses are stable for the service's lifetime).
 //
-// Threading: Offer()/Requeue() may be called from the service's ingest
-// thread concurrently with depth()/stats() readers — each sub-queue is
-// guarded by its own mutex and every statistic is an atomic, so concurrent
-// offers are never lost or double-counted. PopBatch() keeps a single
+// Threading: PlacementService calls every method from its one serial round
+// loop, which is what keeps admitted/rejected counts and peak depth
+// bit-deterministic. The queue is nonetheless safe for concurrent
+// producers: each sub-queue is guarded by its own mutex and every statistic
+// is an atomic, so concurrent Offer()/Requeue() calls and depth()/stats()
+// readers never lose or double-count an offer. PopBatch() keeps a single
 // consumer: it is safe against concurrent Offer() but must not race another
-// PopBatch() (the rotation cursor is consumer-owned). The service's
-// hand-off barrier additionally serializes producer and consumer phases,
-// which is what keeps admitted/rejected counts and peak depth
-// bit-deterministic — the locks guarantee safety for any interleaving, the
-// barrier pins down the one interleaving the deterministic rows need.
+// PopBatch() (the rotation cursor is consumer-owned).
 #ifndef OPTUM_SRC_SERVE_ADMISSION_QUEUE_H_
 #define OPTUM_SRC_SERVE_ADMISSION_QUEUE_H_
 

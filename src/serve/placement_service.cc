@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "src/common/check.h"
 #include "src/obs/metrics.h"
@@ -20,16 +19,6 @@ double ResidencyRounds(uint64_t seed, PodId id, double mean_rounds) {
   return rng.Exponential(1.0 / mean_rounds);
 }
 
-// ServeConfig::pipeline_depth is the serve-level knob for the coordinator's
-// conflict-round pipelining; the larger of it and the embedded distributed
-// config wins, so either surface can request depth.
-core::DistributedConfig EffectiveDistributed(const ServeConfig& config) {
-  core::DistributedConfig distributed = config.distributed;
-  distributed.pipeline_depth =
-      std::max(distributed.pipeline_depth, config.pipeline_depth);
-  return distributed;
-}
-
 }  // namespace
 
 PlacementService::PlacementService(const Workload& workload,
@@ -39,16 +28,12 @@ PlacementService::PlacementService(const Workload& workload,
       cluster_(cluster),
       config_(config),
       driver_(workload, config.arrival),
-      coordinator_(profiles, EffectiveDistributed(config)),
+      coordinator_(profiles, config.distributed, config.pipeline_depth),
       queue_(config.queue_capacity_per_shard,
              std::max<size_t>(1, config.distributed.num_schedulers)) {
   OPTUM_CHECK(cluster != nullptr);
   OPTUM_CHECK_GT(config_.max_schedule_per_round, 0u);
   OPTUM_CHECK_GE(config_.max_requeues, 0);
-  // The arrival stream is one serial rng; more producers would have to
-  // split it, changing the stream (and every row) — so cap at one.
-  OPTUM_CHECK_MSG(config_.ingest_threads <= 1,
-                  "serve: at most one ingest thread is supported");
   shard_latency_.reserve(queue_.num_shards());
   for (size_t s = 0; s < queue_.num_shards(); ++s) {
     shard_latency_.emplace_back(config_.latency);
@@ -86,55 +71,8 @@ void PlacementService::AttachSinks(const obs::Sinks& sinks) {
 }
 
 void PlacementService::RunRounds(int64_t rounds) {
-  if (config_.ingest_threads == 0 || rounds <= 0) {
-    for (int64_t i = 0; i < rounds; ++i) {
-      RunRound(/*with_arrivals=*/true);
-    }
-    return;
-  }
-  // Pipelined ingest: one producer thread generates round r+1's arrivals
-  // while the round loop schedules round r, and applies them only at the
-  // hand-off barrier inside RunRound — shared state is never touched
-  // concurrently (ApplyArrivals runs while the consumer is parked), so the
-  // run is bit-identical to inline ingest. The producer covers exactly this
-  // call's rounds and is joined before returning; Drain() and later calls
-  // are unaffected.
-  const int64_t first = round_ + 1;
-  const int64_t last = round_ + rounds;
-  {
-    std::lock_guard<std::mutex> lock(ingest_mu_);
-    ingest_allow_ = round_;
-    ingest_ready_ = round_;
-  }
-  ingest_active_ = true;
-  std::thread producer([this, first, last] { IngestLoop(first, last); });
   for (int64_t i = 0; i < rounds; ++i) {
     RunRound(/*with_arrivals=*/true);
-  }
-  producer.join();
-  ingest_active_ = false;
-}
-
-void PlacementService::IngestLoop(int64_t first, int64_t last) {
-  std::vector<PodSpec> specs;
-  for (int64_t r = first; r <= last; ++r) {
-    specs.clear();
-    // Pre-generate round r while the consumer is still scheduling r-1; the
-    // driver's rng/pod-id stream is producer-owned for the whole run, so
-    // the emitted sequence matches the inline one draw for draw.
-    driver_.EmitRound(r, &specs);
-    {
-      std::unique_lock<std::mutex> lock(ingest_mu_);
-      ingest_cv_.wait(lock, [&] { return ingest_allow_ >= r; });
-    }
-    // The consumer is parked waiting for ingest_ready_ >= r; every mutation
-    // below is exclusive and ordered before its wake-up.
-    ApplyArrivals(r, specs);
-    {
-      std::lock_guard<std::mutex> lock(ingest_mu_);
-      ingest_ready_ = r;
-    }
-    ingest_cv_.notify_all();
   }
 }
 
@@ -160,31 +98,14 @@ void PlacementService::RunRound(bool with_arrivals) {
   cluster_->set_now(static_cast<Tick>(round_));
 
   // 1. Arrivals: open-loop — emitted regardless of queue state; the bounded
-  // queue answers with backpressure, never by blocking the driver. With an
-  // ingest thread, this round's pods were pre-generated during the previous
-  // round; open the barrier so the producer applies them, then wait for the
-  // hand-off — the application itself runs exclusively while we are parked.
+  // queue answers with backpressure, never by blocking the driver. One
+  // ingest_wait scope per arrivals round.
   if (with_arrivals) {
-    // One ingest_wait scope per arrivals round, covering both the hand-off
-    // barrier wait and the inline emit path — the scope count is invariant
-    // across ingest_threads; only the measured ns differ.
     obs::RoundProfiler::Scope ingest_scope(profiler_,
                                            obs::ProfilePhase::kIngestWait, 0);
-    if (ingest_active_) {
-      {
-        std::lock_guard<std::mutex> lock(ingest_mu_);
-        ingest_allow_ = round_;
-      }
-      ingest_cv_.notify_all();
-      {
-        std::unique_lock<std::mutex> lock(ingest_mu_);
-        ingest_cv_.wait(lock, [&] { return ingest_ready_ >= round_; });
-      }
-    } else {
-      arrival_scratch_.clear();
-      driver_.EmitRound(round_, &arrival_scratch_);
-      ApplyArrivals(round_, arrival_scratch_);
-    }
+    arrival_scratch_.clear();
+    driver_.EmitRound(round_, &arrival_scratch_);
+    ApplyArrivals(round_, arrival_scratch_);
   }
 
   // 2. Scheduling: one coordinator batch (parallel shard decisions, serial

@@ -18,9 +18,7 @@
 //   1. arrivals  — the open-loop driver emits this round's pods; each is
 //      offered to the bounded admission queue (rejection = backpressure,
 //      counted, never blocks the driver — that is what keeps the loop open).
-//      With ServeConfig::ingest_threads == 1 the emission runs on a
-//      producer thread during the previous round and is applied at a
-//      hand-off barrier here — same offers, same spans, same counters.
+//      Arrivals run inline on the round loop, which is serial.
 //   2. schedule  — up to max_schedule_per_round pods pop round-robin across
 //      queue shards and go through one DistributedCoordinator batch
 //      (parallel shard decisions, serial conflict resolution). Winners
@@ -36,11 +34,9 @@
 #ifndef OPTUM_SRC_SERVE_PLACEMENT_SERVICE_H_
 #define OPTUM_SRC_SERVE_PLACEMENT_SERVICE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -64,15 +60,8 @@ struct ServeConfig {
   // against an epoch-snapshotted host view while the serial resolver
   // commits the current round. Rows, placed sets, and SLO counters are
   // bit-identical for every depth; depth 1 is the classic serial loop.
-  // Forwarded into distributed.pipeline_depth (the larger of the two wins).
+  // Passed to the DistributedCoordinator constructor.
   size_t pipeline_depth = 1;
-  // Ingest threads: 1 moves arrival generation onto a producer thread that
-  // pre-builds the next round's pods while the current round schedules, and
-  // applies them (pod registration, submitted spans, queue offers) at a
-  // hand-off barrier — so backpressure decisions and every exported row
-  // stay bit-identical to inline ingest (0). The Poisson arrival stream is
-  // a single serial rng, so at most one ingest thread is supported.
-  size_t ingest_threads = 0;
   // Bounded ingest: Offer() rejects once a shard's sub-queue holds this many.
   size_t queue_capacity_per_shard = 4096;
   // Service-rate cap: pods handed to the coordinator per round. Offered
@@ -148,16 +137,13 @@ class PlacementService {
   //     the coordinator's dist.* and per-shard metrics.
   //   * sinks.span_log — the service appends submitted spans for arrivals
   //     and finished spans for departures; the coordinator appends placed
-  //     (with wait_ticks in rounds) and conflict_retried. With ingest
-  //     threads, submitted spans are appended by the producer strictly
-  //     while the round loop is parked at the hand-off barrier, honoring
-  //     the SpanLog serial contract.
+  //     (with wait_ticks in rounds) and conflict_retried. All of them are
+  //     appended on the serial round loop, honoring the SpanLog contract.
   //   * sinks.series — streaming gauge series, sampled once per round after
   //     the pressure gauges update (requires sinks.metrics).
   //   * sinks.profile — phase-level round profiler (DESIGN.md §14). The
-  //     round loop times arrivals (ingest_wait — the whole step, inline
-  //     emit or hand-off barrier wait alike, so the scope count is one per
-  //     arrivals round regardless of ingest_threads), departures (folded
+  //     round loop times arrivals (ingest_wait — the whole emit-and-offer
+  //     step, one scope per arrivals round), departures (folded
   //     into commit), and the pressure/series sweep (pressure_sweep), all
   //     at lane 0; the coordinator times the barrier phases per shard lane
   //     and closes each conflict round. The caller owns the profiler and
@@ -190,13 +176,8 @@ class PlacementService {
   void ProcessDepartures();
   void SamplePressure();
   // Registers one round's arrivals: pod storage, submitted spans, queue
-  // offers, counters. Called inline (ingest_threads == 0) or by the ingest
-  // producer while the round loop is parked at the barrier.
+  // offers, counters.
   void ApplyArrivals(int64_t round, const std::vector<PodSpec>& specs);
-  // Producer body for rounds [first, last]: pre-generates round r+1's
-  // arrivals while the consumer schedules round r, applies them once the
-  // consumer opens round r+1's barrier, then signals readiness.
-  void IngestLoop(int64_t first, int64_t last);
 
   const Workload& workload_;
   ClusterState* cluster_;
@@ -226,19 +207,6 @@ class PlacementService {
   std::vector<PodSpec> arrival_scratch_;
   std::vector<ServePod*> batch_scratch_;
   std::vector<const PodSpec*> spec_scratch_;
-
-  // Ingest hand-off state (ingest_threads == 1). The consumer publishes
-  // `allow` (arrivals for rounds <= allow may be applied) and waits for
-  // `ready` (arrivals through this round are applied); the producer applies
-  // a round's arrivals only inside that window, while the consumer is
-  // parked — so all shared mutation is barrier-serialized and every
-  // counter, span, and backpressure decision lands exactly as inline
-  // ingest would order it.
-  bool ingest_active_ = false;  // consumer-owned
-  std::mutex ingest_mu_;
-  std::condition_variable ingest_cv_;
-  int64_t ingest_allow_ = -1;  // guarded by ingest_mu_
-  int64_t ingest_ready_ = -1;  // guarded by ingest_mu_
 
   obs::Sinks sinks_;
   obs::SpanLog* span_log_ = nullptr;

@@ -2,8 +2,7 @@
 // critical-path / idle attribution rules, window cadence, and the
 // determinism contract — the profile's *count* fields (window ids, rounds,
 // shards, per-phase counts) are bit-identical across every
-// {pipeline_depth} × {ingest_threads} combination,
-// exactly like the placed-pod sets the pipelined serve tests pin. The ns
+// pipeline_depth, exactly like the placed-pod sets the pipelined serve tests pin. The ns
 // fields are wall-clock-derived and excluded. Labeled `observability` so
 // the suite also runs under TSan / ASan+UBSan via tools/sanitize_runner.sh.
 #include <gtest/gtest.h>
@@ -321,8 +320,7 @@ struct ProfiledRun {
 // Mirrors serve_pipeline_test's mild-overload regime, with the profiler
 // attached through the Sinks bundle. A small window keeps several windows
 // in a 10-round run.
-ProfiledRun RunProfiled(size_t pipeline_depth, size_t ingest_threads,
-                        ProfileLog* log = nullptr) {
+ProfiledRun RunProfiled(size_t pipeline_depth, ProfileLog* log = nullptr) {
   const ServeWorld& world = World();
   serve::ServeConfig config;
   config.arrival.offered_pods_per_sec = 120.0;
@@ -334,7 +332,6 @@ ProfiledRun RunProfiled(size_t pipeline_depth, size_t ingest_threads,
   config.max_requeues = 8;
   config.mean_residency_rounds = 12.0;
   config.pipeline_depth = pipeline_depth;
-  config.ingest_threads = ingest_threads;
 
   RoundProfiler::Options popts;
   popts.window_rounds = 8;
@@ -359,26 +356,19 @@ ProfiledRun RunProfiled(size_t pipeline_depth, size_t ingest_threads,
   return out;
 }
 
-// The tentpole invariant: profile count fields are bit-identical across the
-// full pipeline/ingest matrix, like every other export.
+// The tentpole invariant: profile count fields are bit-identical across
+// pipeline depths, like every other export.
 TEST(ProfilerServeTest, CountsBitIdenticalAcrossPipelineMatrix) {
-  const ProfiledRun base = RunProfiled(/*pipeline_depth=*/1,
-                                       /*ingest_threads=*/0);
+  const ProfiledRun base = RunProfiled(/*pipeline_depth=*/1);
   ASSERT_GT(base.rounds, 0);
   ASSERT_GT(base.windows, 0);
   ASSERT_FALSE(base.counts.empty());
   ASSERT_FALSE(base.placed.empty());
-  for (const size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (const size_t ingest : {size_t{0}, size_t{1}}) {
-      if (depth == 1 && ingest == 0) {
-        continue;
-      }
-      const ProfiledRun run = RunProfiled(depth, ingest);
-      SCOPED_TRACE("depth=" + std::to_string(depth) +
-                   " ingest=" + std::to_string(ingest));
-      EXPECT_EQ(run.placed, base.placed);
-      EXPECT_EQ(run.counts, base.counts);
-    }
+  for (const size_t depth : {size_t{2}, size_t{3}}) {
+    const ProfiledRun run = RunProfiled(depth);
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    EXPECT_EQ(run.placed, base.placed);
+    EXPECT_EQ(run.counts, base.counts);
   }
 }
 
@@ -387,8 +377,7 @@ TEST(ProfilerServeTest, ProfileFileParsesAndWindowsHaveCriticalPath) {
   {
     ProfileLog log(path);
     ASSERT_TRUE(log.ok());
-    const ProfiledRun run = RunProfiled(/*pipeline_depth=*/2,
-                                        /*ingest_threads=*/1, &log);
+    const ProfiledRun run = RunProfiled(/*pipeline_depth=*/2, &log);
     ASSERT_GT(run.windows, 0);
   }
   std::map<int64_t, int64_t> window_barriers;  // window -> barrier_ns

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/obs/json_reader.h"
 #include "src/optum.h"
 
 namespace optum {
@@ -177,6 +180,77 @@ TEST_F(TraceIoRobustnessTest, BlankLinesTolerated) {
   TraceBundle loaded;
   EXPECT_TRUE(ReadTraceBundle(dir_, &loaded));
   EXPECT_EQ(loaded.pods.size(), 1u);
+}
+
+// --- Hostile JSON / JSONL input -------------------------------------------------
+
+// Far deeper than any stack: without a nesting limit the recursive parser
+// overflows it.
+std::string DeeplyNested(size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonRobustnessTest, DeepNestingIsAParseErrorWithOffset) {
+  obs::JsonValue doc;
+  std::string error;
+  EXPECT_FALSE(obs::ParseJson(DeeplyNested(1000000), &doc, &error));
+  EXPECT_EQ(error, "nesting too deep at byte " +
+                       std::to_string(obs::kMaxJsonDepth));
+  // The limit itself still parses.
+  EXPECT_TRUE(obs::ParseJson(
+      DeeplyNested(static_cast<size_t>(obs::kMaxJsonDepth)), &doc, &error))
+      << error;
+}
+
+TEST(JsonRobustnessTest, DeepNestingInJsonlRowIsAOneLineError) {
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("optum_deep_" + std::to_string(static_cast<long>(::getpid())) + ".jsonl"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << "{\"schema\":\"optum.profile.v1\",\"clock\":\"ns\"}\n"
+        << DeeplyNested(1000000) << "\n";
+  }
+  int rows = 0;
+  const std::string error = obs::ForEachJsonlRow(
+      path, "optum.profile.v1", [&](const obs::JsonValue&) { ++rows; });
+  fs::remove(path);
+  EXPECT_EQ(rows, 0);
+  EXPECT_NE(error.find("nesting too deep at byte"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+}
+
+TEST(JsonRobustnessTest, NonJsonNumberTokensRejected) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "-Infinity", "[1,inf]", "{\"tick\":-Infinity}", "+1",
+                           ".5", "-"}) {
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_FALSE(obs::ParseJson(text, &doc, &error)) << text;
+  }
+  for (const char* text : {"0", "-0", "12", "0.5", "-1e-3", "2E+8"}) {
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(obs::ParseJson(text, &doc, &error)) << text << ": " << error;
+    EXPECT_TRUE(doc.is_number()) << text;
+  }
+}
+
+TEST(JsonRobustnessTest, AsIntFallsBackOutsideInt64Range) {
+  const auto as_int = [](const char* text) {
+    obs::JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(obs::ParseJson(text, &doc, &error)) << text << ": " << error;
+    return doc.AsInt(/*fallback=*/-7);
+  };
+  EXPECT_EQ(as_int("1e300"), -7);
+  EXPECT_EQ(as_int("-1e300"), -7);
+  EXPECT_EQ(as_int("9223372036854775808"), -7);  // 2^63
+  // Exact at the boundary: -2^63 and the largest double below 2^63 convert.
+  EXPECT_EQ(as_int("-9223372036854775808"), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(as_int("9223372036854774784"), int64_t{9223372036854774784});
+  EXPECT_EQ(as_int("-3.9"), -3);
 }
 
 // --- Degenerate configurations ------------------------------------------------

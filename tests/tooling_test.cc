@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -196,10 +197,12 @@ TEST(FlagParserTest, ValidateNamesAFlagTheToolNeverRead) {
   ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
   EXPECT_EQ(flags.GetInt("hosts", 0), 50);
   EXPECT_EQ(flags.Validate(), "unknown flag --threads");
-  // Every read counts, including Has() and list reads; positionals are the
-  // tool's own business.
+  // Every read counts, including Has() and list reads; a positional the
+  // tool never asked for is reported once every flag was read.
   EXPECT_FALSE(flags.Has("absent"));
   EXPECT_EQ(flags.GetStringList("threads").size(), 1u);
+  EXPECT_EQ(flags.Validate(), "unexpected argument 'in.csv'");
+  EXPECT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.Validate(), "");
 }
 
@@ -282,6 +285,21 @@ TEST(ToolFlagCheckTest, UnknownFlagAndMalformedNumberExitNonZero) {
     EXPECT_EQ(malformed.exit_code, 2) << c.tool << ": " << malformed.output;
     EXPECT_EQ(malformed.output,
               c.tool + ": " + c.numeric_flag + ": malformed " + c.type + " '12abc'\n");
+  }
+}
+
+// A tool that takes no positional arguments must reject a stray one rather
+// than run with it dropped (`runsim --hosts 4 8` with a flag name missing).
+TEST(ToolFlagCheckTest, StrayPositionalExitsNonZero) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"runsim", "--scheduler alibaba --hosts 4 --hours 1"},
+      {"serve_bench", "--hosts 50 --shards 2 --rounds 2 --offered 20"},
+      {"slo_report", "--slo /nonexistent/slo.json"},
+  };
+  for (const auto& [tool, args] : cases) {
+    const ToolRun stray = RunTool(tool, args + " stray_positional");
+    EXPECT_EQ(stray.exit_code, 2) << tool << ": " << stray.output;
+    EXPECT_EQ(stray.output, tool + ": unexpected argument 'stray_positional'\n");
   }
 }
 

@@ -5,7 +5,7 @@
 //   serve_bench [--hosts N] [--shards K] [--offered PODS_PER_SEC]
 //               [--rounds R] [--round-seconds S] [--process poisson|diurnal]
 //               [--queue-capacity N] [--max-per-round N] [--residency ROUNDS]
-//               [--pipeline-depth D] [--ingest-threads T]
+//               [--pipeline-depth D] [--prefill K]
 //               [--span-log PATH] [--metrics-json PATH] [--out PATH]
 //               [--burst-amplitude A --burst-duration D --burst-interval I]
 //               [--pressure] [--hotspot-log PATH] [--slo-json PATH]
@@ -22,9 +22,8 @@
 // --pipeline-depth D > 1 turns on conflict-round pipelining: each
 // coordinator shard keeps its next head pods speculatively scored against
 // an epoch-snapshotted host view while the serial resolver commits the
-// current round. --ingest-threads 1 moves arrival generation onto a
-// producer thread behind a hand-off barrier. Both knobs change wall-clock
-// throughput only — every exported row is bit-identical to the serial loop.
+// current round. The knob changes wall-clock throughput only — every
+// exported row is bit-identical to the serial loop.
 //
 // The burst flags overlay deterministic anomaly storms on the arrival
 // process (DESIGN.md §13); the pressure flags attach the host-pressure
@@ -87,8 +86,6 @@ int Main(int argc, char** argv) {
   config.mean_residency_rounds = flags.GetDouble("residency", 0.0);
   config.pipeline_depth =
       static_cast<size_t>(flags.GetInt("pipeline-depth", 1));
-  config.ingest_threads =
-      static_cast<size_t>(flags.GetInt("ingest-threads", 0));
   config.arrival.burst_amplitude = burst_opts.amplitude;
   config.arrival.burst_duration_rounds = burst_opts.duration_rounds;
   config.arrival.burst_interval_rounds = burst_opts.interval_rounds;
@@ -208,11 +205,10 @@ int Main(int argc, char** argv) {
   service.AttachSinks(sinks);
 
   std::printf(
-      "serving %lld rounds at %.1f pods/s (%s, %zu shards, depth %zu, "
-      "%zu ingest threads)...\n",
+      "serving %lld rounds at %.1f pods/s (%s, %zu shards, depth %zu)...\n",
       static_cast<long long>(rounds), config.arrival.offered_pods_per_sec,
       process.c_str(), config.distributed.num_schedulers,
-      config.pipeline_depth, config.ingest_threads);
+      config.pipeline_depth);
   const std::chrono::steady_clock::time_point serve_start =
       std::chrono::steady_clock::now();
   service.RunRounds(rounds);
